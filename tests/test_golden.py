@@ -1,0 +1,73 @@
+"""
+Golden gate: `wplab <experiment> --budget 12` must reproduce the CSV bytes
+committed in tests/golden/budget12 for every experiment, and the bracket
+table that `cache-warm` persists must keep its sha256.
+
+The cache-warm row names the cache path it wrote; its golden file holds
+the placeholder `<tmp>` for that directory.  The other experiments run
+against the table persisted by cache-warm, as `wplab` does with
+WPLAB_CACHE set.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wplab.lab import EXPERIMENTS
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "budget12"
+BRACKETS_SHA256 = "1c87a9c9364e6dbd73e1520891a8d7d0e165252d71428896cd37c049f6c70205"
+
+
+def _run(experiment: str, cache_dir: Path) -> bytes:
+    env = dict(os.environ, WPLAB_CACHE=str(cache_dir))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wplab.cli", experiment, "--budget", "12"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, (
+        f"{experiment}: exit {proc.returncode}: {proc.stderr.decode()}"
+    )
+    return proc.stdout
+
+
+def _check(experiment: str, got: bytes, golden: bytes) -> None:
+    if got == golden:
+        return
+    want_lines = golden.decode().split("\n")
+    got_lines = got.decode().split("\n")
+    for lineno, (want, have) in enumerate(zip(want_lines, got_lines), start=1):
+        if want != have:
+            pytest.fail(
+                f"{experiment}: first difference at line {lineno}\n"
+                f"  golden: {want}\n  got:    {have}"
+            )
+    pytest.fail(
+        f"{experiment}: golden has {len(want_lines)} lines, got {len(got_lines)}"
+    )
+
+
+@pytest.fixture(scope="module")
+def warm_table(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("golden-cache")
+    return cache_dir, _run("cache-warm", cache_dir)
+
+
+def test_cache_warm_golden(warm_table) -> None:
+    cache_dir, out = warm_table
+    golden = (GOLDEN / "cache-warm.csv").read_bytes()
+    _check("cache-warm", out, golden.replace(b"<tmp>", str(cache_dir).encode()))
+    digest = hashlib.sha256((cache_dir / "brackets.txt").read_bytes()).hexdigest()
+    assert digest == BRACKETS_SHA256, f"brackets.txt: sha256 {digest}"
+
+
+@pytest.mark.parametrize("experiment", sorted(set(EXPERIMENTS) - {"cache-warm"}))
+def test_experiment_golden(warm_table, experiment) -> None:
+    cache_dir, _ = warm_table
+    golden = (GOLDEN / f"{experiment}.csv").read_bytes()
+    _check(experiment, _run(experiment, cache_dir), golden)
