@@ -27,7 +27,7 @@ produced from the (g, 1) brackets through the alternating-sum identity
 
 from __future__ import annotations
 
-import sys
+import os
 from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -50,8 +50,6 @@ __all__ = [
 CACHE_VERSION = "wpbracket v1"
 
 Key = Tuple[int, int, Tuple[int, ...]]
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
 
 def stable(g: int, n: int) -> bool:
@@ -100,27 +98,12 @@ class BracketKey:
         return (self.g, self.n, self.dnz)
 
     @property
-    def weight(self) -> int:
-        return sum(self.dnz)
-
-    @property
     def pideg(self) -> int:
         return pideg_of_key(self.key)
 
     def counts(self) -> List[Tuple[int, int]]:
         """(value, count) pairs, descending value, tau_0 count explicit."""
-        out: List[Tuple[int, int]] = []
-        prev = None
-        for v in self.dnz:
-            if v == prev:
-                out[-1] = (v, out[-1][1] + 1)
-            else:
-                out.append((v, 1))
-                prev = v
-        zeros = self.n - len(self.dnz)
-        if zeros:
-            out.append((0, zeros))
-        return out
+        return _value_counts(self.key)
 
     def __eq__(self, other):
         return isinstance(other, BracketKey) and self.key == other.key
@@ -135,13 +118,11 @@ class BracketKey:
 class BracketCache:
     """
     Append-only table Key -> rational part.  Insertion is idempotent
-    (the recursion is pure, so duplicate computation is bit-identical);
-    plain dict assignment is atomic, so worker threads may share it.
+    (the recursion is pure, so duplicate computation is bit-identical).
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
-        self.version = CACHE_VERSION
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -360,7 +341,7 @@ def c_m(g: int, n: int, m: int, cache: BracketCache | None = None) -> PiScalar:
 # ---------------------------------------------------------------------------
 
 
-def _encode_counts(key: Key) -> str:
+def _value_counts(key: Key) -> List[Tuple[int, int]]:
     g, n, dnz = key
     pairs: List[Tuple[int, int]] = []
     prev = None
@@ -373,7 +354,7 @@ def _encode_counts(key: Key) -> str:
     zeros = n - len(dnz)
     if zeros:
         pairs.append((0, zeros))
-    return ",".join(f"{v}:{c}" for v, c in pairs)
+    return pairs
 
 
 def _decode_counts(text: str) -> Tuple[int, Tuple[int, ...]]:
@@ -397,15 +378,27 @@ def _decode_counts(text: str) -> Tuple[int, Tuple[int, ...]]:
 
 
 def cache_save(path, cache: BracketCache | None = None) -> int:
-    """Write every entry in canonical order; returns the entry count."""
+    """
+    Write every entry in canonical order; returns the entry count.  The
+    table goes to a temporary file beside `path` that then replaces it,
+    so a failed write leaves the previous file intact.
+    """
     cache = _default_cache if cache is None else cache
     keys = sorted(cache.entries)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CACHE_VERSION + "\n")
-        for key in keys:
-            g, n, dnz = key
-            value = PiScalar(cache.entries[key], pideg_of_key(key))
-            fh.write(f"{g}|{_encode_counts(key)}|{value.render()}\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CACHE_VERSION + "\n")
+            for key in keys:
+                g, n, dnz = key
+                counts = ",".join(f"{v}:{c}" for v, c in _value_counts(key))
+                value = PiScalar(cache.entries[key], pideg_of_key(key))
+                fh.write(f"{g}|{counts}|{value.render()}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return len(keys)
 
 

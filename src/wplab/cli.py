@@ -19,6 +19,7 @@ from .lab import (
     HARD_CHECK_EXPERIMENTS,
     InternalCheckError,
     load_config_file,
+    render_input,
     resolve_config,
     rows_to_csv,
     rows_to_json,
@@ -74,8 +75,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--L", type=_cutoff, default=None, help="cutoff length, RAT or RATpi (e.g. 1/5pi)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None, help="accepted (>= 1); does not change the output"
+    )
     parser.add_argument("--config", default=None, help="flat key = value config file")
     return parser
 
@@ -99,7 +101,6 @@ def main(argv=None) -> int:
             "budget": args.budget,
             "digits": args.digits,
             "threads": args.threads,
-            "seed": args.seed,
             "gmin": args.gmin,
             "gmax": args.gmax,
             "nmin": args.nmin,
@@ -129,6 +130,10 @@ def main(argv=None) -> int:
     except (InternalCheckError, ComparisonError, AssertionError) as exc:
         print(f"wplab: internal check failure: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    except ValueError as exc:
+        # an experiment rejected an input value outside its domain
+        print(f"wplab: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out:
@@ -138,8 +143,13 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
 
     if args.experiment in HARD_CHECK_EXPERIMENTS:
-        if any(row.status == "FAIL" for row in rows):
-            print("wplab: internal check failure: exactness row failed", file=sys.stderr)
+        row = next((row for row in rows if row.status == "FAIL"), None)
+        if row is not None:
+            print(
+                f"wplab: internal check failure: {row.experiment} row "
+                f"{render_input(row.input)} failed, residual {row.exact}",
+                file=sys.stderr,
+            )
             return INTERNAL_EXIT
     return 0
 

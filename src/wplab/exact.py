@@ -183,15 +183,8 @@ class PiScalar:
     def zero() -> "PiScalar":
         return PiScalar(0, 0)
 
-    @staticmethod
-    def one() -> "PiScalar":
-        return PiScalar(1, 0)
-
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def is_rational(self) -> bool:
-        return self.pideg == 0
 
     def __bool__(self) -> bool:
         return self.coeff != 0
@@ -321,16 +314,8 @@ class PiPoly:
         return PiPoly({})
 
     @staticmethod
-    def from_scalar(s: PiScalar) -> "PiPoly":
-        return s.to_poly()
-
-    @staticmethod
     def constant(q: RatLike) -> "PiPoly":
         return PiPoly({0: q})
-
-    @staticmethod
-    def pi_power(k: int, coeff: RatLike = 1) -> "PiPoly":
-        return PiPoly({k: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -400,15 +385,6 @@ class PiPoly:
             if e:
                 base = base * base
         return out
-
-    def as_scalar(self) -> PiScalar:
-        """Convert to PiScalar; requires at most one stored term."""
-        if not self.terms:
-            return PiScalar.zero()
-        if len(self.terms) > 1:
-            raise ValueError("PiPoly with several pi-degrees is not a PiScalar")
-        ((k, v),) = self.terms.items()
-        return PiScalar(v, k)
 
     def render(self) -> str:
         if not self.terms:

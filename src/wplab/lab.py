@@ -9,7 +9,7 @@ Every experiment produces rows with the fixed columns
 whose per-experiment meaning is documented in EXPERIMENT_DOCS (surfaced
 by ``wplab --help``).  Rows are computed as pure functions of exact
 values, buffered, and emitted in canonical input order, so artifacts are
-byte-identical for any worker count.
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import recorded
 from .exact import PiScalar, eval_numeric
@@ -104,8 +103,7 @@ class LabConfig:
     budget: int = 18
     digits: int = 30
     cache_dir: Optional[str] = None
-    threads: int = 1
-    seed: int = 0
+    threads: int = 1  # validated but unused: rows are computed in order
     gmin: Optional[int] = None
     gmax: Optional[int] = None
     nmin: Optional[int] = None
@@ -182,13 +180,6 @@ def _signature_grid(cfg: LabConfig, extra_budget: int = 0) -> List[Tuple[int, in
     return out
 
 
-def _pool_map(cfg: LabConfig, fn: Callable, items: Sequence) -> List:
-    if cfg.threads == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -212,7 +203,7 @@ def _exp_volume_table(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, _signature_grid(cfg))
+    return [one(sig) for sig in _signature_grid(cfg)]
 
 
 def _exp_mz_ratio(cfg: LabConfig) -> List[ExperimentRow]:
@@ -239,7 +230,7 @@ def _exp_mz_ratio(cfg: LabConfig) -> List[ExperimentRow]:
             status=status,
         )
 
-    return _pool_map(cfg, one, _signature_grid(cfg, extra_budget=1))
+    return [one(sig) for sig in _signature_grid(cfg, extra_budget=1)]
 
 
 def _exp_ratio_R(cfg: LabConfig) -> List[ExperimentRow]:
@@ -265,7 +256,7 @@ def _exp_ratio_R(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, grid)
+    return [one(sig) for sig in grid]
 
 
 def _exp_identity(cfg: LabConfig) -> List[ExperimentRow]:
@@ -282,7 +273,7 @@ def _exp_identity(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, _signature_grid(cfg, extra_budget=1))
+    return [one(sig) for sig in _signature_grid(cfg, extra_budget=1)]
 
 
 def _poisson_n(a: Fraction, g: int) -> int:
@@ -307,16 +298,10 @@ def _exp_poisson_moments(cfg: LabConfig) -> List[ExperimentRow]:
                 continue
             jobs.append((r, g, n))
 
-    def one(job):
-        r, g, n = job
-        res = expected_pants_count(g, n, r, L, cfg.digits, cfg.budget)
-        return job, res
-
-    results = dict(_pool_map(cfg, one, jobs))
     rows = []
     last_dev: Dict[int, float] = {}
-    for r, g, n in sorted(results):
-        res = results[(r, g, n)]
+    for r, g, n in jobs:
+        res = expected_pants_count(g, n, r, L, cfg.digits, cfg.budget)
         prev = last_dev.get(r)
         if prev is None:
             status = "-"
@@ -359,7 +344,7 @@ def _exp_second_moment(cfg: LabConfig) -> List[ExperimentRow]:
             warnings=";".join(res.warnings),
         )
 
-    return _pool_map(cfg, one, grid)
+    return [one(sig) for sig in grid]
 
 
 def _exp_cheeger_upper(cfg: LabConfig) -> List[ExperimentRow]:
@@ -380,7 +365,7 @@ def _exp_cheeger_upper(cfg: LabConfig) -> List[ExperimentRow]:
             warnings=";".join(warnings),
         )
 
-    return _pool_map(cfg, one, grid)
+    return [one(sig) for sig in grid]
 
 
 def _exp_pvol2(cfg: LabConfig) -> List[ExperimentRow]:
@@ -401,7 +386,7 @@ def _exp_pvol2(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, grid)
+    return [one(sig) for sig in grid]
 
 
 def _exp_two_curve(cfg: LabConfig) -> List[ExperimentRow]:
@@ -425,7 +410,7 @@ def _exp_two_curve(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, grid)
+    return [one(sig) for sig in grid]
 
 
 def _exp_geometry_constants(cfg: LabConfig) -> List[ExperimentRow]:
@@ -520,7 +505,7 @@ def _exp_lratio(cfg: LabConfig) -> List[ExperimentRow]:
             status="PASS" if ok else "FAIL",
         )
 
-    return _pool_map(cfg, one, jobs)
+    return [one(job) for job in jobs]
 
 
 @dataclass
@@ -651,7 +636,7 @@ def load_config_file(path) -> Dict[str, str]:
     return out
 
 
-_CONFIG_KEYS = {"budget": int, "digits": int, "threads": int, "seed": int, "cache_dir": str}
+_CONFIG_KEYS = {"budget": int, "digits": int, "threads": int, "cache_dir": str}
 
 
 def resolve_config(

@@ -24,9 +24,9 @@ import mpmath
 import numpy as np
 
 from .exact import NumInterval, PiPoly, PiScalar, Rat, eval_numeric, factorial, rat
-from .brackets import BracketCache, bracket_rat, default_cache, stable
+from .brackets import BracketCache, default_cache, stable
 from .topology import enumerate_splits, pairing_multiplicity
-from .volumes import partitions_upto, volume, volume_rat
+from .volumes import _coeff_table, volume, volume_rat
 
 __all__ = [
     "ARCSINH1",
@@ -71,7 +71,7 @@ def _ensure_budget(g: int, n: int, budget: Optional[int]) -> None:
         raise BudgetExceeded(g, n, budget)
 
 
-_CUTOFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?(pi)?$")
+_CUTOFF_RE = re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?(pi)?$")
 
 
 @dataclass(frozen=True)
@@ -126,24 +126,6 @@ class ExpectationResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _restricted_coeffs(
-    g: int, n: int, k: int, cache: BracketCache
-) -> Dict[Tuple[int, ...], PiScalar]:
-    """Coefficients of V_{g,n}(x_1..x_k, 0..0): partitions with <= k parts."""
-    budget = 3 * g - 3 + n
-    out: Dict[Tuple[int, ...], PiScalar] = {}
-    for part in partitions_upto(budget, min(k, n)):
-        s = sum(part)
-        q = bracket_rat(g, list(part) + [0] * (n - len(part)), cache)
-        if q == 0:
-            continue
-        den = 4 ** s
-        for v in part:
-            den *= factorial(2 * v + 1)
-        out[part] = PiScalar(q / Rat(den), 2 * (budget - s))
-    return out
-
-
 def _arrangements(part: Tuple[int, ...], k: int) -> int:
     """Distinct placements of the multiset `part` into k labelled slots."""
     counts: Dict[int, int] = {}
@@ -166,7 +148,7 @@ def box_count_integral(
     Lp = L.as_poly()
     Lsq_half = Lp * Lp * PiPoly.constant(Rat(1, 2))
     total = PiPoly.zero()
-    for part, coeff in _restricted_coeffs(g, n, k, cache).items():
+    for part, coeff in _coeff_table(g, n, k, cache).items():
         term = PiPoly.constant(_arrangements(part, k)) * coeff.to_poly()
         for v in part:
             term = term * (Lp ** (2 * v + 2)) * PiPoly.constant(Rat(1, 2 * v + 2))
@@ -451,7 +433,7 @@ def two_curve_expectation_bound(
     cache = default_cache() if cache is None else cache
     T = PiPoly({1: rat(2 * CF.numerator, CF.denominator)})  # 2 pi C
     total = PiPoly.zero()
-    for part, coeff in _restricted_coeffs(g - 1, n + 1, 2, cache).items():
+    for part, coeff in _coeff_table(g - 1, n + 1, 2, cache).items():
         exps = list(part) + [0] * (2 - len(part))
         a, b = 2 * exps[0] + 1, 2 * exps[1] + 1
         base = simplex_monomial_integral((a, b)) * _arrangement_pairs(exps)

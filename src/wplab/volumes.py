@@ -16,15 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
-from .brackets import (
-    BracketCache,
-    _decode_counts,
-    _encode_counts,
-    bracket_rat,
-    c_m,
-    default_cache,
-    stable,
-)
+from .brackets import BracketCache, bracket_rat, c_m, stable
 from .topology import SplitPair
 
 __all__ = [
@@ -39,11 +31,7 @@ __all__ = [
     "cor1_bound_check",
     "lratio_check",
     "partitions_upto",
-    "poly_dump",
-    "poly_load",
 ]
-
-VOL_VERSION = "wpvol v1"
 
 
 def partitions_upto(max_sum: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
@@ -96,10 +84,6 @@ class VolumePolynomial:
 
     def constant(self) -> PiScalar:
         return self.coeffs[()]
-
-    def restricted(self, k: int) -> Dict[Tuple[int, ...], PiScalar]:
-        """Coefficients surviving when all but the first k variables are 0."""
-        return {e: c for e, c in self.coeffs.items() if len(e) <= k}
 
     def at(self, lengths: Sequence) -> PiPoly:
         """Exact evaluation at a list of n exact values (PiPoly-convertible)."""
@@ -159,13 +143,16 @@ def _monomial_symmetric(part: Tuple[int, ...], xs: List[PiPoly]) -> PiPoly:
     return dp.get(done, PiPoly.zero())
 
 
-def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePolynomial:
-    """Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n."""
-    _require_stable(g, n)
-    cache = default_cache() if cache is None else cache
+def _coeff_table(
+    g: int, n: int, max_parts: int, cache: BracketCache | None
+) -> Dict[Tuple[int, ...], PiScalar]:
+    """
+    Nonzero coefficients of V_{g,n} on the monomials in at most max_parts
+    variables, i.e. of V_{g,n}(x_1..x_k, 0..0) for k = max_parts.
+    """
     budget = 3 * g - 3 + n
     coeffs: Dict[Tuple[int, ...], PiScalar] = {}
-    for part in partitions_upto(budget, n):
+    for part in partitions_upto(budget, min(max_parts, n)):
         s = sum(part)
         q = bracket_rat(g, list(part) + [0] * (n - len(part)), cache)
         if q == 0:
@@ -174,7 +161,13 @@ def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePoly
         for v in part:
             den *= factorial(2 * v + 1)
         coeffs[part] = PiScalar(q / Rat(den), 2 * (budget - s))
-    return VolumePolynomial(g, n, coeffs)
+    return coeffs
+
+
+def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePolynomial:
+    """Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n."""
+    _require_stable(g, n)
+    return VolumePolynomial(g, n, _coeff_table(g, n, n, cache))
 
 
 def volume_at(
@@ -271,51 +264,3 @@ def lratio_check(
         Rat(m ** m * (chi - m) ** (chi - m), chi ** chi)
     )
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Coefficient-table dump format
-# ---------------------------------------------------------------------------
-
-
-def poly_dump(poly: VolumePolynomial, path) -> int:
-    """One line per coefficient, canonical order; returns line count."""
-    keys = sorted(poly.coeffs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(VOL_VERSION + "\n")
-        for part in keys:
-            full = (poly.g, poly.n, part)
-            fh.write(
-                f"{poly.g}|{poly.n}|{_encode_counts(full)}|{poly.coeffs[part].render()}\n"
-            )
-    return len(keys)
-
-
-def poly_load(path) -> VolumePolynomial:
-    coeffs: Dict[Tuple[int, ...], PiScalar] = {}
-    g = n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != VOL_VERSION:
-            raise ValueError(f"volume table version mismatch: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                g_s, n_s, counts_s, value_s = line.split("|")
-                g_i, n_i = int(g_s), int(n_s)
-                total, part = _decode_counts(counts_s)
-                if total != n_i:
-                    raise ValueError(f"multiset carries {total} entries, n={n_i}")
-                value = PiScalar.parse(value_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if g is None:
-                g, n = g_i, n_i
-            elif (g, n) != (g_i, n_i):
-                raise ValueError(f"{path}: line {lineno}: mixed signatures")
-            coeffs[part] = value
-    if g is None:
-        raise ValueError(f"{path}: empty volume table")
-    return VolumePolynomial(g, n, coeffs)

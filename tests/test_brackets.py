@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +178,38 @@ def test_cache_small_round_trip_count(tmp_path) -> None:
     assert cache_save(path, three) == 3
     out = BracketCache()
     assert cache_load(path, out) == 3
+
+
+def test_cache_save_failure_keeps_previous_file(tmp_path) -> None:
+    old = BracketCache()
+    bracket(0, (0, 0, 0), old)
+    path = tmp_path / "brackets.txt"
+    cache_save(path, old)
+    before = path.read_bytes()
+
+    broken = BracketCache()
+    bracket(1, (1, 0), broken)
+    broken.entries[(9, 0, ())] = object()  # sorts last: fails after the others
+    with pytest.raises(TypeError):
+        cache_save(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["brackets.txt"]
+
+
+def test_recursion_depth_bounded_by_dimension() -> None:
+    # every child of a bracket has lower dimension 3g-3+n, so a cold
+    # V_{5,3} (dimension 15) needs no raised recursion limit
+    code = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import wplab\n"
+        "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n"
+        "sys.setrecursionlimit(60)\n"
+        "print(wplab.volume(5, 3, wplab.BracketCache()).render())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == volume(5, 3).render()
 
 
 def test_cache_load_empty_and_errors(tmp_path) -> None:

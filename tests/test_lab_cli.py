@@ -48,6 +48,22 @@ def test_bad_flag_usage_error() -> None:
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["identity", "--budget", "4", "--L", "1/0"], "malformed cutoff '1/0'"),
+        (["cheeger-upper", "--budget", "4", "--C", "0"], "C must be positive"),
+        (["pvol2", "--budget", "4", "--u", "1"], "u must lie in"),
+    ],
+)
+def test_bad_value_one_line_error(args, message) -> None:
+    proc = _wplab(args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("wplab: error:") and message in last
+
+
 def test_budget_exceeded_exit_code() -> None:
     proc = _wplab(["volume-table", "--budget", "6", "--gmin", "20"])
     assert proc.returncode == 2
@@ -74,6 +90,8 @@ def test_poisoned_cache_fails_identity(tmp_path) -> None:
     )
     assert proc.returncode == 3
     assert "internal check" in proc.stderr
+    # the first failing row, with its exact residual
+    assert "identity row (0,4) failed, residual 1/19*pi^-2" in proc.stderr
 
 
 def test_csv_byte_determinism_across_runs_and_threads() -> None:

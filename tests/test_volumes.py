@@ -12,8 +12,6 @@ from wplab.volumes import (
     lratio_check,
     mz_ratio,
     partitions_upto,
-    poly_dump,
-    poly_load,
     ratio_R,
     volume,
     volume_at,
@@ -180,21 +178,3 @@ def test_partitions_enumeration() -> None:
     assert parts == [(), (1,), (1, 1), (2,), (2, 1), (3,)]
     assert list(partitions_upto(0, 5)) == [()]
     assert len(list(partitions_upto(4, 1))) == 5
-
-
-def test_poly_dump_load_round_trip(tmp_path) -> None:
-    poly = volume_poly(1, 2)
-    path = tmp_path / "v12.txt"
-    lines = poly_dump(poly, path)
-    assert lines == len(poly.coeffs)
-    back = poly_load(path)
-    assert (back.g, back.n) == (1, 2)
-    assert back.coeffs == poly.coeffs
-    wrong_version = tmp_path / "vempty.txt"
-    wrong_version.write_text("wpvol v2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="version"):
-        poly_load(wrong_version)
-    torn = tmp_path / "torn.txt"
-    torn.write_text("wpvol v1\n1|2|0:3|1/4*pi^4\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        poly_load(torn)  # multiset says 3 entries but n = 2
