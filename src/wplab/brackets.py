@@ -12,23 +12,35 @@ The recursion removes a distinguished entry d1 = max(d) and assembles
 three groups of contributions:
 
 * a merge with each remaining entry (surface loses one marked point),
-* a pair-creation term on genus g-1 with two new entries,
-* products over ordered splittings of the remaining entries between two
+* a pair-creation term on genus g-1 with two new entries {k1, k2}, each
+  unordered pair visited once,
+* products over splittings of the remaining entries between two
   stable pieces whose genera sum to g.
 
 Remaining entries are grouped by value, and splittings are enumerated as
 sub-multisets with binomial weights, which keeps the cost polynomial for
-the zero-heavy inputs that dominate volume computations.  Sub-brackets
-with a negative entry or an unstable signature contribute zero.  The
-closed surface case n = 0 is unreachable by the recursion and is
-produced from the (g, 1) brackets through the alternating-sum identity
+the zero-heavy inputs that dominate volume computations.  Each unordered
+split {(left, g_left), (right, g_right)} is visited once, the
+off-diagonal ones with weight 2.  A piece enters the split term only
+through its slice vector T[(g', n', base)][k] = q(g', n', base + {k}),
+k = 0..3g'-3+n'-|base|, which the BracketCache memoizes beside the table
+it reads; the sum over L and k1 + k2 = L + d1 - 2 is then a short
+convolution of two slice vectors against a_L.  Slice vectors and the a_L
+table are integer numerators over one common denominator each, and the
+three terms are summed as integers per denominator, so a new bracket
+builds one rational.  Sub-brackets with a negative entry or an unstable
+signature contribute zero.  The closed surface case n = 0 is unreachable
+by the recursion and is produced from the (g, 1) brackets through the
+alternating-sum identity
 (2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}.
 """
 
 from __future__ import annotations
 
 import os
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
+from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
@@ -50,6 +62,8 @@ __all__ = [
 CACHE_VERSION = "wpbracket v1"
 
 Key = Tuple[int, int, Tuple[int, ...]]
+# integer numerators over one common denominator
+Slice = Tuple[Tuple[int, ...], int]
 
 
 def stable(g: int, n: int) -> bool:
@@ -119,10 +133,12 @@ class BracketCache:
     """
     Append-only table Key -> rational part.  Insertion is idempotent
     (the recursion is pure, so duplicate computation is bit-identical).
+    `slices` holds the kernel's slice vectors, built from `entries` only.
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
+        self.slices: Dict[Key, Slice] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -135,6 +151,7 @@ class BracketCache:
 
     def clear(self) -> None:
         self.entries.clear()
+        self.slices.clear()
 
 
 _default_cache = BracketCache()
@@ -144,12 +161,14 @@ def default_cache() -> BracketCache:
     return _default_cache
 
 
-def _q(g: int, n: int, dnz: Tuple[int, ...], memo: Dict[Key, Rat]) -> Rat:
+def _q(
+    g: int, n: int, dnz: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
+) -> Rat:
     """Rational part of the bracket at a canonical key (0 when it vanishes)."""
     if not stable(g, n):
         return Rat(0)
     if n == 0:
-        return _q_closed(g, memo)
+        return _q_closed(g, memo, slices)
     d0 = 3 * g - 3 + n - sum(dnz)
     if d0 < 0:
         return Rat(0)
@@ -166,105 +185,80 @@ def _q(g: int, n: int, dnz: Tuple[int, ...], memo: Dict[Key, Rat]) -> Rat:
 
     d1 = dnz[0] if dnz else 0
     rest = dnz[1:]
-    zeros = n - 1 - len(rest)
-
-    counts: Dict[int, int] = {}
-    for x in rest:
-        counts[x] = counts.get(x, 0) + 1
-    if zeros:
-        counts[0] = zeros
-
-    total = Rat(0)
+    items = _value_counts((g, n - 1, rest))
+    a_num, a_den = _a_table(d0)
+    # all three terms as integer numerators over a_den * d, keyed by d
+    parts: Dict[int, int] = {}
 
     # merge d1 with one remaining entry of value v_ (count c of them)
-    for v_, c in counts.items():
+    for v_, c in items:
         if v_:
             sub = list(rest)
             sub.remove(v_)
             base = tuple(sub)
         else:
             base = rest
-        acc = Rat(0)
+        w = 8 * c * (2 * v_ + 1)
         for L in range(d0 + 1):
             e = d1 + v_ + L - 1
             if e < 0:
                 continue
             child = _insert_sorted(base, e) if e else base
-            t = _q(g, n - 1, child, memo)
+            t = _q(g, n - 1, child, memo, slices)
             if t:
-                acc += _coeff_a_rat(L) * t
-        if acc:
-            total += 8 * c * (2 * v_ + 1) * acc
+                den = t.denominator
+                parts[den] = parts.get(den, 0) + w * a_num[L] * t.numerator
 
-    # create an entry pair on genus g-1
+    # create an entry pair {k1, k2} on genus g-1; k1 <= k2, k1 < k2 doubled
     if g >= 1 and stable(g - 1, n + 1):
-        acc = Rat(0)
         for L in range(d0 + 1):
             s = L + d1 - 2
             if s < 0:
                 continue
-            inner = Rat(0)
-            for k1 in range(s + 1):
+            for k1 in range(s // 2 + 1):
                 k2 = s - k1
-                child = rest
-                if k1:
-                    child = _insert_sorted(child, k1)
-                if k2:
-                    child = _insert_sorted(child, k2)
-                t = _q(g - 1, n + 1, child, memo)
+                child = _insert_sorted(rest, k1) if k1 else rest
+                child = _insert_sorted(child, k2) if k2 else child
+                t = _q(g - 1, n + 1, child, memo, slices)
                 if t:
-                    inner += t
-            if inner:
-                acc += _coeff_a_rat(L) * inner
-        if acc:
-            total += 16 * acc
+                    den = t.denominator
+                    w = 16 if k1 == k2 else 32
+                    parts[den] = parts.get(den, 0) + w * a_num[L] * t.numerator
 
-    # ordered splittings of the remaining multiset between two pieces
-    items = sorted(counts.items())
-    acc = Rat(0)
-    for take, weight in _weighted_submultisets(items):
-        left: List[int] = []
-        right: List[int] = []
-        z_left = z_right = 0
-        for (v_, c), t in zip(items, take):
-            if v_:
-                left += [v_] * t
-                right += [v_] * (c - t)
-            else:
-                z_left, z_right = t, c - t
-        n_left = len(left) + z_left + 1
-        n_right = len(right) + z_right + 1
-        base_left = tuple(sorted(left, reverse=True))
-        base_right = tuple(sorted(right, reverse=True))
+    # unordered splits {(left, g_left), (right, g_right)} of the remaining
+    # entries; the sum over L and k1 + k2 = L + d1 - 2 is a convolution
+    # of the two pieces' slice vectors x, y: sum x_k1 y_k2 a[k1 + k2]
+    a = (0,) * (d1 - 2) + a_num if d1 >= 2 else a_num[2 - d1 :]
+    for base_left, n_left, base_right, n_right, weight in _splits(items):
+        diagonal = (base_left, n_left) == (base_right, n_right)
+        if not diagonal and (base_left, n_left) < (base_right, n_right):
+            continue  # visited as its mirror image
+        n_left += 1
+        n_right += 1
         for g_left in range(g + 1):
             g_right = g - g_left
+            if diagonal and g_left > g_right:
+                continue
             if not stable(g_left, n_left) or not stable(g_right, n_right):
                 continue
-            for L in range(d0 + 1):
-                s = L + d1 - 2
-                if s < 0:
-                    continue
-                inner = Rat(0)
-                for k1 in range(s + 1):
-                    k2 = s - k1
-                    c1 = _insert_sorted(base_left, k1) if k1 else base_left
-                    t1 = _q(g_left, n_left, c1, memo)
-                    if not t1:
-                        continue
-                    c2 = _insert_sorted(base_right, k2) if k2 else base_right
-                    t2 = _q(g_right, n_right, c2, memo)
-                    if t2:
-                        inner += t1 * t2
-                if inner:
-                    acc += _coeff_a_rat(L) * weight * inner
-    if acc:
-        total += 16 * acc
+            x, x_den = _slice(g_left, n_left, base_left, memo, slices)
+            y, y_den = _slice(g_right, n_right, base_right, memo, slices)
+            t = 0
+            for k1, xk in enumerate(x):
+                if xk:
+                    t += xk * sum(map(mul, y, a[k1:]))
+            if t:
+                den = x_den * y_den
+                w = 16 if diagonal and g_left == g_right else 32
+                parts[den] = parts.get(den, 0) + w * weight * t
 
+    den = lcm(*parts)
+    total = Rat(sum(v * (den // d) for d, v in parts.items()), den * a_den)
     memo[key] = total
     return total
 
 
-def _q_closed(g: int, memo: Dict[Key, Rat]) -> Rat:
+def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
     """V_{g,0} rational part via the alternating sum over (g,1) brackets."""
     if g < 2:
         return Rat(0)
@@ -274,12 +268,43 @@ def _q_closed(g: int, memo: Dict[Key, Rat]) -> Rat:
         return v
     total = Rat(0)
     for m in range(1, 3 * g - 2 + 1):
-        t = _q(g, 1, (m,), memo)
+        t = _q(g, 1, (m,), memo, slices)
         if t:
             total += (-1) ** (m - 1) * _coeff_b_rat(m) * t
     total /= 2 * (2 * g - 2)
     memo[key] = total
     return total
+
+
+def _slice(
+    g: int, n: int, base: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
+) -> Slice:
+    """
+    Slice vector of a split piece: q(g, n, base + {k}) for k = 0..3g-3+n-|base|
+    as integer numerators over their least common denominator.
+    """
+    key = (g, n, base)
+    sv = slices.get(key)
+    if sv is None:
+        # a loop, not a comprehension: before Python 3.12 a comprehension
+        # is one more stack frame per recursion level
+        values = []
+        for k in range(3 * g - 3 + n - sum(base) + 1):
+            values.append(_q(g, n, _insert_sorted(base, k) if k else base, memo, slices))
+        sv = slices[key] = _over_lcm(values)
+    return sv
+
+
+@lru_cache(maxsize=None)
+def _a_table(m: int) -> Slice:
+    """a_0..a_m (rational parts) as integer numerators over their lcm."""
+    return _over_lcm([_coeff_a_rat(L) for L in range(m + 1)])
+
+
+def _over_lcm(values: List[Rat]) -> Slice:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _insert_sorted(base: Tuple[int, ...], x: int) -> Tuple[int, ...]:
@@ -290,23 +315,36 @@ def _insert_sorted(base: Tuple[int, ...], x: int) -> Tuple[int, ...]:
     return base + (x,)
 
 
-def _weighted_submultisets(
+def _splits(
     items: List[Tuple[int, int]],
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """All (per-value take counts, product-of-binomials weight) pairs."""
+) -> Iterator[Tuple[Tuple[int, ...], int, Tuple[int, ...], int, int]]:
+    """
+    Every ordered split of the multiset `items` ((value, count) pairs,
+    descending, zeros last) as (left nonzero entries, left size, right
+    nonzero entries, right size, product-of-binomials weight).
+    """
     if not items:
-        yield (), 1
+        yield (), 0, (), 0, 1
         return
     (v, c), tail = items[0], items[1:]
-    for rest_take, rest_w in _weighted_submultisets(tail):
+    for left, n_left, right, n_right, w in _splits(tail):
         for t in range(c + 1):
-            yield (t,) + rest_take, rest_w * comb(c, t)
+            if v:
+                left_t, right_t = (v,) * t + left, (v,) * (c - t) + right
+            else:
+                left_t, right_t = left, right
+            yield left_t, n_left + t, right_t, n_right + c - t, w * comb(c, t)
+
+
+def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) -> Rat:
+    cache = _default_cache if cache is None else cache
+    return _q(g, n, dnz, cache.entries, cache.slices)
 
 
 def bracket_rat(g: int, d: Sequence[int], cache: BracketCache | None = None) -> Rat:
     """Rational part of [prod tau_{d_i}]_{g,n}; pi-power is 2*d0."""
     key = BracketKey(g, d)
-    return _q(key.g, key.n, key.dnz, (_default_cache if cache is None else cache).entries)
+    return _cached_q(key.g, key.n, key.dnz, cache)
 
 
 def bracket(g: int, d: Sequence[int], cache: BracketCache | None = None) -> PiScalar:
@@ -315,7 +353,7 @@ def bracket(g: int, d: Sequence[int], cache: BracketCache | None = None) -> PiSc
     |d| > 3g-3+n; raises on unstable signatures and negative entries.
     """
     key = BracketKey(g, d)
-    q = _q(key.g, key.n, key.dnz, (_default_cache if cache is None else cache).entries)
+    q = _cached_q(key.g, key.n, key.dnz, cache)
     if q == 0:
         return PiScalar.zero()
     return PiScalar(q, key.pideg)
@@ -330,9 +368,8 @@ def c_m(g: int, n: int, m: int, cache: BracketCache | None = None) -> PiScalar:
         raise ValueError(f"unstable signature ({g},{n + 1})")
     if m < 0 or m > 3 * g - 2 + n:
         raise ValueError(f"c_m index m={m} outside [0, {3 * g - 2 + n}]")
-    memo = (_default_cache if cache is None else cache).entries
-    num = _q(g, n + 1, (m,) if m else (), memo)
-    den = _q(g, n + 1, (), memo)
+    num = _cached_q(g, n + 1, (m,) if m else (), cache)
+    den = _cached_q(g, n + 1, (), cache)
     return PiScalar(num / den, -2 * m)
 
 

@@ -137,8 +137,12 @@ def main(argv=None) -> int:
 
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"wplab: error: cannot write --out: {exc}", file=sys.stderr)
+            return USAGE_EXIT
     else:
         sys.stdout.write(text)
 

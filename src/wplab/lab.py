@@ -120,6 +120,11 @@ class LabConfig:
             raise ValueError("digits must be >= 15")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for name, lo, hi in (("g", self.gmin, self.gmax), ("n", self.nmin, self.nmax)):
+            if lo is not None and hi is not None and lo > hi:
+                raise ValueError(f"empty range: {name}min {lo} > {name}max {hi}")
+        if self.a < 0:
+            raise ValueError(f"puncture rate a must be >= 0, got {self.a}")
 
 
 @dataclass(frozen=True)

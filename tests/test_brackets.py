@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wplab.exact import PiScalar, eval_numeric, rat
 from wplab.brackets import (
@@ -79,6 +81,31 @@ def test_matches_reference_recursion_with_tie_breaks() -> None:
             q, pideg = bracket_reference(g, shuffled, pick)
             got = PiScalar(rat(q.numerator, q.denominator), pideg if q else 0)
             assert got == expected, (g, d, trial)
+
+
+@st.composite
+def _small_keys(draw):
+    # dimension 3g-3+n <= 5 keeps the exponential oracle under ~1 s a key
+    g = draw(st.integers(0, 2))
+    n = draw(st.integers(3 if g == 0 else 1, min(6, 8 - 3 * g)))
+    dim = 3 * g - 3 + n
+    d = []
+    for x in draw(st.lists(st.integers(0, dim), min_size=n, max_size=n)):
+        d.append(min(x, dim - sum(d)))
+    return g, tuple(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_keys())
+@example((0, (0, 0, 0, 0, 0)))  # rest {0,0,0,0}: diagonal split {0,0} | {0,0}
+@example((2, (0, 0, 0)))  # rest {0,0}: diagonal split ({0}, g=1) | ({0}, g=1)
+@example((1, (2, 0, 0, 0, 0)))  # rest {0,0,0,0}: ({0,0}, g=0) | ({0,0}, g=1) once
+@example((1, (2, 1, 1, 0, 0)))  # off-diagonal splits only
+def test_cold_bracket_matches_reference(key) -> None:
+    g, d = key
+    q, pideg = bracket_reference(g, d)
+    got = bracket(g, d, BracketCache())
+    assert got == PiScalar(rat(q.numerator, q.denominator), pideg if q else 0), key
 
 
 def test_homogeneity_structural() -> None:

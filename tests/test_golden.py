@@ -3,6 +3,9 @@ Golden gate: `wplab <experiment> --budget 12` must reproduce the CSV bytes
 committed in tests/golden/budget12 for every experiment, and the bracket
 table that `cache-warm` persists must keep its sha256.
 
+The tables that `cache_warm` persists at budgets 8, 10, 14 and 16 are
+pinned by sha256 as well.
+
 The cache-warm row names the cache path it wrote; its golden file holds
 the placeholder `<tmp>` for that directory.  The other experiments run
 against the table persisted by cache-warm, as `wplab` does with
@@ -17,10 +20,17 @@ from pathlib import Path
 
 import pytest
 
-from wplab.lab import EXPERIMENTS
+from wplab.brackets import BracketCache
+from wplab.lab import EXPERIMENTS, LabConfig, cache_warm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "budget12"
 BRACKETS_SHA256 = "1c87a9c9364e6dbd73e1520891a8d7d0e165252d71428896cd37c049f6c70205"
+BRACKETS_SHA256_BY_BUDGET = {
+    8: "3fced0741298066889bb464f582f77a261a3868aa3b1e436a811e2cbb28b20c6",
+    10: "ea142785cca904ded6bd979409262f741ce9bcaeb63b9a7568a9d70ea5a06fdf",
+    14: "c76bf5b14a323d287afdad73011b2e0cd67e4e64340544e460fd39694790617a",
+    16: "42b2739347ef09c6131f2f8e5e1a9ff72b4b1b85f5f26fbe0ba4f7e60abd669e",
+}
 
 
 def _run(experiment: str, cache_dir: Path) -> bytes:
@@ -71,3 +81,10 @@ def test_experiment_golden(warm_table, experiment) -> None:
     cache_dir, _ = warm_table
     golden = (GOLDEN / f"{experiment}.csv").read_bytes()
     _check(experiment, _run(experiment, cache_dir), golden)
+
+
+@pytest.mark.parametrize("budget", sorted(BRACKETS_SHA256_BY_BUDGET))
+def test_cache_warm_table_sha256(tmp_path, budget) -> None:
+    stats = cache_warm(LabConfig(budget=budget, cache_dir=str(tmp_path)), cache=BracketCache())
+    digest = hashlib.sha256(Path(stats.path).read_bytes()).hexdigest()
+    assert digest == BRACKETS_SHA256_BY_BUDGET[budget], f"budget {budget}: sha256 {digest}"

@@ -54,6 +54,9 @@ def test_bad_flag_usage_error() -> None:
         (["identity", "--budget", "4", "--L", "1/0"], "malformed cutoff '1/0'"),
         (["cheeger-upper", "--budget", "4", "--C", "0"], "C must be positive"),
         (["pvol2", "--budget", "4", "--u", "1"], "u must lie in"),
+        (["volume-table", "--budget", "4", "--gmin", "3", "--gmax", "1"], "gmin 3 > gmax 1"),
+        (["volume-table", "--budget", "4", "--nmin", "5", "--nmax", "2"], "nmin 5 > nmax 2"),
+        (["poisson-moments", "--budget", "8", "--a", "-4"], "a must be >= 0"),
     ],
 )
 def test_bad_value_one_line_error(args, message) -> None:
@@ -62,6 +65,16 @@ def test_bad_value_one_line_error(args, message) -> None:
     assert "Traceback" not in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("wplab: error:") and message in last
+
+
+def test_unwritable_out_one_line_error(tmp_path) -> None:
+    out = tmp_path / "missing-dir" / "x.csv"
+    proc = _wplab(["identity", "--budget", "3", "--out", str(out)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wplab: error: cannot write --out")
+    assert not out.exists()
 
 
 def test_budget_exceeded_exit_code() -> None:
