@@ -21,17 +21,21 @@ Remaining entries are grouped by value, and splittings are enumerated as
 sub-multisets with binomial weights, which keeps the cost polynomial for
 the zero-heavy inputs that dominate volume computations.  Each unordered
 split {(left, g_left), (right, g_right)} is visited once, the
-off-diagonal ones with weight 2.  A piece enters the split term only
-through its slice vector T[(g', n', base)][k] = q(g', n', base + {k}),
+off-diagonal ones with weight 2.  Every child is read through a slice
+vector T[(g', n', base)][k] = q(g', n', base + {k}),
 k = 0..3g'-3+n'-|base|, which the BracketCache memoizes beside the table
-it reads; the sum over L and k1 + k2 = L + d1 - 2 is then a short
-convolution of two slice vectors against a_L.  Slice vectors and the a_L
-table are integer numerators over one common denominator each, and the
-three terms are summed as integers per denominator, so a new bracket
-builds one rational.  Sub-brackets with a negative entry or an unstable
-signature contribute zero.  The closed surface case n = 0 is unreachable
-by the recursion and is produced from the (g, 1) brackets through the
-alternating-sum identity
+it reads: the merge term is a dot product of one slice vector with a_L,
+the pair-creation term one per k1 with the k2 >= k1 tail of a slice
+vector, and the split term a short convolution of two slice vectors
+against a_L.  Slice vectors and the a_L table are integer numerators over
+one common denominator each, and the three terms are summed as integers
+per denominator, so a new bracket builds one rational.  Slice vectors
+end at the top dimension and split pieces are kept only when stable, so
+every child is a stable key with n >= 1 and |d| <= 3g-3+n; `_cached_q`,
+the one entry from outside, is the only place that checks keys
+(unstable or over-full ones are zero there).
+The closed surface case n = 0 is unreachable by the recursion and is
+produced from the (g, 1) brackets through the alternating-sum identity
 (2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}.
 """
 
@@ -164,14 +168,11 @@ def default_cache() -> BracketCache:
 def _q(
     g: int, n: int, dnz: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
 ) -> Rat:
-    """Rational part of the bracket at a canonical key (0 when it vanishes)."""
-    if not stable(g, n):
-        return Rat(0)
-    if n == 0:
-        return _q_closed(g, memo, slices)
-    d0 = 3 * g - 3 + n - sum(dnz)
-    if d0 < 0:
-        return Rat(0)
+    """
+    Rational part of the bracket at a canonical key.  The key must be
+    stable with n >= 1 and |d| <= 3g-3+n: `_cached_q` checks that for
+    outside callers, and every child read through `_slice` satisfies it.
+    """
     key = (g, n, dnz)
     v = memo.get(key)
     if v is not None:
@@ -183,14 +184,18 @@ def _q(
         memo[key] = Rat(1, 12) if not dnz else Rat(1, 2)
         return memo[key]
 
+    d0 = 3 * g - 3 + n - sum(dnz)
     d1 = dnz[0] if dnz else 0
     rest = dnz[1:]
     items = _value_counts((g, n - 1, rest))
     a_num, a_den = _a_table(d0)
+    # a[k1 + k2] is a_L at L = k1 + k2 - d1 + 2
+    a = (0,) * (d1 - 2) + a_num if d1 >= 2 else a_num[2 - d1 :]
     # all three terms as integer numerators over a_den * d, keyed by d
     parts: Dict[int, int] = {}
 
-    # merge d1 with one remaining entry of value v_ (count c of them)
+    # merge d1 with one remaining entry of value v_ (count c of them):
+    # sum_L a_L x[d1 + v_ - 1 + L] over the slice x of the other entries
     for v_, c in items:
         if v_:
             sub = list(rest)
@@ -198,37 +203,25 @@ def _q(
             base = tuple(sub)
         else:
             base = rest
-        w = 8 * c * (2 * v_ + 1)
-        for L in range(d0 + 1):
-            e = d1 + v_ + L - 1
-            if e < 0:
-                continue
-            child = _insert_sorted(base, e) if e else base
-            t = _q(g, n - 1, child, memo, slices)
-            if t:
-                den = t.denominator
-                parts[den] = parts.get(den, 0) + w * a_num[L] * t.numerator
+        x, x_den = _slice(g, n - 1, base, memo, slices)
+        off = d1 + v_ - 1
+        t = sum(map(mul, x[max(off, 0) :], a_num[max(-off, 0) :]))
+        if t:
+            parts[x_den] = parts.get(x_den, 0) + 8 * c * (2 * v_ + 1) * t
 
-    # create an entry pair {k1, k2} on genus g-1; k1 <= k2, k1 < k2 doubled
-    if g >= 1 and stable(g - 1, n + 1):
-        for L in range(d0 + 1):
-            s = L + d1 - 2
-            if s < 0:
-                continue
-            for k1 in range(s // 2 + 1):
-                k2 = s - k1
-                child = _insert_sorted(rest, k1) if k1 else rest
-                child = _insert_sorted(child, k2) if k2 else child
-                t = _q(g - 1, n + 1, child, memo, slices)
-                if t:
-                    den = t.denominator
-                    w = 16 if k1 == k2 else 32
-                    parts[den] = parts.get(den, 0) + w * a_num[L] * t.numerator
+    # create an entry pair {k1, k2} on genus g-1; k1 <= k2, k1 < k2 doubled.
+    # Past the base cases, g >= 1 leaves (g-1, n+1) stable.
+    if g:
+        for k1 in range((d0 + d1 - 2) // 2 + 1):
+            base = _insert_sorted(rest, k1) if k1 else rest
+            y, y_den = _slice(g - 1, n + 1, base, memo, slices)
+            t = y[k1] * a[2 * k1] + 2 * sum(map(mul, y[k1 + 1 :], a[2 * k1 + 1 :]))
+            if t:
+                parts[y_den] = parts.get(y_den, 0) + 16 * t
 
     # unordered splits {(left, g_left), (right, g_right)} of the remaining
     # entries; the sum over L and k1 + k2 = L + d1 - 2 is a convolution
     # of the two pieces' slice vectors x, y: sum x_k1 y_k2 a[k1 + k2]
-    a = (0,) * (d1 - 2) + a_num if d1 >= 2 else a_num[2 - d1 :]
     for base_left, n_left, base_right, n_right, weight in _splits(items):
         diagonal = (base_left, n_left) == (base_right, n_right)
         if not diagonal and (base_left, n_left) < (base_right, n_right):
@@ -259,9 +252,7 @@ def _q(
 
 
 def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
-    """V_{g,0} rational part via the alternating sum over (g,1) brackets."""
-    if g < 2:
-        return Rat(0)
+    """V_{g,0} rational part (g >= 2): alternating sum over (g,1) brackets."""
     key = (g, 0, ())
     v = memo.get(key)
     if v is not None:
@@ -280,7 +271,7 @@ def _slice(
     g: int, n: int, base: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
 ) -> Slice:
     """
-    Slice vector of a split piece: q(g, n, base + {k}) for k = 0..3g-3+n-|base|
+    Slice vector of a child: q(g, n, base + {k}) for k = 0..3g-3+n-|base|
     as integer numerators over their least common denominator.
     """
     key = (g, n, base)
@@ -337,7 +328,12 @@ def _splits(
 
 
 def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) -> Rat:
+    """The one entry into the recursion: the only place that checks a key."""
     cache = _default_cache if cache is None else cache
+    if not stable(g, n) or sum(dnz) > 3 * g - 3 + n:
+        return Rat(0)
+    if n == 0:
+        return _q_closed(g, cache.entries, cache.slices)
     return _q(g, n, dnz, cache.entries, cache.slices)
 
 

@@ -8,6 +8,7 @@ check failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -114,6 +115,18 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"wplab: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+
+    if args.out:
+        # fail before computing; an existing file keeps its content until the end
+        existed = os.path.exists(args.out)
+        try:
+            with open(args.out, "a"):
+                pass
+        except OSError as exc:
+            print(f"wplab: error: cannot write --out: {exc}", file=sys.stderr)
+            return USAGE_EXIT
+        if not existed:
+            os.unlink(args.out)
 
     if cfg.budget > BUDGET_HARD_WARNING:
         print(

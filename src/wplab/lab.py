@@ -121,6 +121,9 @@ class LabConfig:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         for name, lo, hi in (("g", self.gmin, self.gmax), ("n", self.nmin, self.nmax)):
+            for bound, value in (("min", lo), ("max", hi)):
+                if value is not None and value < 0:
+                    raise ValueError(f"{name}{bound} must be >= 0, got {value}")
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"empty range: {name}min {lo} > {name}max {hi}")
         if self.a < 0:
@@ -395,11 +398,7 @@ def _exp_pvol2(cfg: LabConfig) -> List[ExperimentRow]:
 
 
 def _exp_two_curve(cfg: LabConfig) -> List[ExperimentRow]:
-    grid = [
-        (g, n)
-        for (g, n) in _signature_grid(cfg)
-        if g >= 1 and stable(g - 1, n + 1) and 3 * (g - 1) - 3 + (n + 1) <= cfg.budget
-    ]
+    grid = [(g, n) for (g, n) in _signature_grid(cfg) if g >= 1 and stable(g - 1, n + 1)]
 
     def one(sig):
         g, n = sig
@@ -492,10 +491,7 @@ def _exp_lratio(cfg: LabConfig) -> List[ExperimentRow]:
     for g, n in _signature_grid(cfg):
         chi = 2 * g - 2 + n
         for m in range(1, chi // 2 + 1):
-            for sp in enumerate_splits(m, g, n):
-                if 3 * sp.g1 - 3 + sp.n1 > cfg.budget or 3 * sp.g2 - 3 + sp.n2 > cfg.budget:
-                    continue
-                jobs.append((g, n, m, sp))
+            jobs.extend((g, n, m, sp) for sp in enumerate_splits(m, g, n))
 
     def one(job):
         g, n, m, sp = job

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import mpmath
 import numpy as np
 
-from .exact import NumInterval, PiPoly, PiScalar, Rat, eval_numeric, factorial, rat
-from .brackets import BracketCache, default_cache, stable
+from .exact import NumInterval, PiPoly, Rat, eval_numeric, factorial, rat
+from .brackets import BracketCache, stable
 from .topology import enumerate_splits, pairing_multiplicity
 from .volumes import _coeff_table, volume, volume_rat
 
@@ -144,7 +144,6 @@ def box_count_integral(
     Exact integral over [0, L]^k of V_{g,n}(x_1..x_k,0..0) prod x_i dx;
     every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2).
     """
-    cache = default_cache() if cache is None else cache
     Lp = L.as_poly()
     Lsq_half = Lp * Lp * PiPoly.constant(Rat(1, 2))
     total = PiPoly.zero()
@@ -194,13 +193,11 @@ def expected_pants_count(
     if not stable(g, n) or not stable(g, n - k):
         raise ValueError(f"unstable signature ({g},{n}) or ({g},{n - k})")
     _ensure_budget(g, n, budget)
-    cache = default_cache() if cache is None else cache
 
     mult = pairing_multiplicity(n, k)
     integral = box_count_integral(g, n - k, k, L, cache)
     vol = volume(g, n, cache)
-    inv_vol = PiScalar(1 / vol.coeff, -vol.pideg)
-    exact = PiPoly.constant(mult) * integral * inv_vol.to_poly()
+    exact = PiPoly.constant(mult) * integral * (1 / vol).to_poly()
 
     box = eval_numeric(exact, digits)
     Lf = float(L)
@@ -284,7 +281,6 @@ def second_moment_bound(
     """
     if n < 4:
         raise ValueError("second moment needs n >= 4")
-    cache = default_cache() if cache is None else cache
     e1 = expected_pants_count(g, n, 1, L, digits, budget, cache)
     e2 = expected_pants_count(g, n, 2, L, digits, budget, cache)
     sm = e1.exact + e2.exact
@@ -341,7 +337,6 @@ def cheeger_prob_upper(
     warnings: List[str] = []
     if C >= _LOG2_OVER_2PI:
         warnings.append(f"C={C} >= log2/(2 pi) = {_LOG2_OVER_2PI:.6f}")
-    cache = default_cache() if cache is None else cache
     chi = 2 * g - 2 + n
     total = 0.0
     vgn = _vol_float(g, n, digits, budget, cache)
@@ -377,7 +372,6 @@ def pvol2_sum(
     """
     if not (0.0 < u < _LOG2_OVER_2PI):
         raise ValueError(f"u must lie in (0, log2/(2 pi) = {_LOG2_OVER_2PI:.6f})")
-    cache = default_cache() if cache is None else cache
     chi = 2 * g - 2 + n
     total = 0.0
     vgn = _vol_float(g, n, digits, budget, cache)
@@ -397,7 +391,7 @@ def pvol2_sum(
 
 
 def _vol_float(
-    g: int, n: int, digits: int, budget: Optional[int], cache: BracketCache
+    g: int, n: int, digits: int, budget: Optional[int], cache: BracketCache | None
 ) -> float:
     _ensure_budget(g, n, budget)
     return float(eval_numeric(volume(g, n, cache), digits).mid())
@@ -430,23 +424,17 @@ def two_curve_expectation_bound(
         raise ValueError("C must be positive")
     _ensure_budget(g, n, budget)
     _ensure_budget(g - 1, n + 1, budget)
-    cache = default_cache() if cache is None else cache
     T = PiPoly({1: rat(2 * CF.numerator, CF.denominator)})  # 2 pi C
     total = PiPoly.zero()
     for part, coeff in _coeff_table(g - 1, n + 1, 2, cache).items():
         exps = list(part) + [0] * (2 - len(part))
         a, b = 2 * exps[0] + 1, 2 * exps[1] + 1
-        base = simplex_monomial_integral((a, b)) * _arrangement_pairs(exps)
+        base = simplex_monomial_integral((a, b)) * _arrangements(part, 2)
         total = total + coeff.to_poly() * PiPoly.constant(base) * T ** (a + b + 2)
     vol = volume(g, n, cache)
-    total = total * PiScalar(1 / vol.coeff, -vol.pideg).to_poly()
+    total = total * (1 / vol).to_poly()
     value = float(eval_numeric(total, digits).mid())
     return TwoCurveResult(total, value, value * (g + n))
-
-
-def _arrangement_pairs(exps: List[int]) -> int:
-    # x/y exponent swap gives an equal integral; count distinct orderings
-    return 1 if exps[0] == exps[1] else 2
 
 
 @dataclass

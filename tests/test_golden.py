@@ -3,8 +3,8 @@ Golden gate: `wplab <experiment> --budget 12` must reproduce the CSV bytes
 committed in tests/golden/budget12 for every experiment, and the bracket
 table that `cache-warm` persists must keep its sha256.
 
-The tables that `cache_warm` persists at budgets 8, 10, 14 and 16 are
-pinned by sha256 as well.
+The tables that `cache_warm` persists at budgets 8, 10, 14, 16 and 18
+are pinned by sha256 as well.
 
 The cache-warm row names the cache path it wrote; its golden file holds
 the placeholder `<tmp>` for that directory.  The other experiments run
@@ -30,6 +30,7 @@ BRACKETS_SHA256_BY_BUDGET = {
     10: "ea142785cca904ded6bd979409262f741ce9bcaeb63b9a7568a9d70ea5a06fdf",
     14: "c76bf5b14a323d287afdad73011b2e0cd67e4e64340544e460fd39694790617a",
     16: "42b2739347ef09c6131f2f8e5e1a9ff72b4b1b85f5f26fbe0ba4f7e60abd669e",
+    18: "fcb85b322cf49480d498b5dad8072b68c4cf3fa90144d57ad1caabd36b726f2a",
 }
 
 

@@ -57,6 +57,10 @@ def test_bad_flag_usage_error() -> None:
         (["volume-table", "--budget", "4", "--gmin", "3", "--gmax", "1"], "gmin 3 > gmax 1"),
         (["volume-table", "--budget", "4", "--nmin", "5", "--nmax", "2"], "nmin 5 > nmax 2"),
         (["poisson-moments", "--budget", "8", "--a", "-4"], "a must be >= 0"),
+        (["volume-table", "--budget", "6", "--gmin", "-1"], "gmin must be >= 0, got -1"),
+        (["volume-table", "--budget", "6", "--gmax", "-1"], "gmax must be >= 0, got -1"),
+        (["volume-table", "--budget", "6", "--nmin", "-3"], "nmin must be >= 0, got -3"),
+        (["volume-table", "--budget", "6", "--nmax", "-2"], "nmax must be >= 0, got -2"),
     ],
 )
 def test_bad_value_one_line_error(args, message) -> None:
@@ -75,6 +79,25 @@ def test_unwritable_out_one_line_error(tmp_path) -> None:
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("wplab: error: cannot write --out")
     assert not out.exists()
+
+
+def test_out_checked_before_computing(tmp_path) -> None:
+    # the grid is beyond the budget: a late --out check would exit 2
+    out = tmp_path / "missing-dir" / "x.csv"
+    proc = _wplab(["volume-table", "--budget", "4", "--gmin", "3", "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("wplab: error: cannot write --out")
+    assert not out.exists()
+    # a writable --out is left as it was when the experiment then fails
+    out = tmp_path / "x.csv"
+    out.write_text("previous\n")
+    proc = _wplab(["volume-table", "--budget", "4", "--gmin", "3", "--out", str(out)])
+    assert proc.returncode == 2
+    assert out.read_text() == "previous\n"
+    new = tmp_path / "new.csv"
+    proc = _wplab(["volume-table", "--budget", "4", "--gmin", "3", "--out", str(new)])
+    assert proc.returncode == 2
+    assert not new.exists()
 
 
 def test_budget_exceeded_exit_code() -> None:
