@@ -76,7 +76,6 @@ from .random_model import (
     poisson_pmf,
     pvol2_sum,
     second_moment_bound,
-    simulate_poisson,
     two_curve_expectation_bound,
 )
 from .lab import LabConfig, cache_warm, run_experiment

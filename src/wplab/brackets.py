@@ -437,8 +437,9 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
 
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
-    Load entries, verifying the version header and per-line homogeneity.
-    Malformed input reports its line number.  Returns entries read.
+    Load entries, verifying the version header, that each key's exponents
+    sum to at most 3g-3+n, and per-line homogeneity.  Malformed input
+    reports its line number.  Returns entries read.
     """
     cache = _default_cache if cache is None else cache
     count = 0
@@ -459,6 +460,10 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 if not stable(g, n):
                     raise ValueError("unstable signature")
                 expected = pideg_of_key(key)
+                if expected < 0:
+                    raise ValueError(
+                        f"exponent sum {sum(dnz)} exceeds 3g-3+n = {3 * g - 3 + n}"
+                    )
                 if value.is_zero():
                     q = Rat(0)
                 elif value.pideg != expected:

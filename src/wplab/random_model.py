@@ -21,7 +21,6 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
-import numpy as np
 
 from .exact import NumInterval, PiPoly, Rat, eval_numeric, factorial, rat
 from .brackets import BracketCache, stable
@@ -35,7 +34,6 @@ __all__ = [
     "ExpectationResult",
     "SecondMomentResult",
     "TwoCurveResult",
-    "PoissonSample",
     "expected_pants_count",
     "factorial_moment",
     "poisson_lambda",
@@ -45,7 +43,6 @@ __all__ = [
     "cheeger_prob_upper",
     "pvol2_sum",
     "two_curve_expectation_bound",
-    "simulate_poisson",
     "box_count_integral",
     "simplex_monomial_integral",
 ]
@@ -142,17 +139,17 @@ def box_count_integral(
 ) -> PiPoly:
     """
     Exact integral over [0, L]^k of V_{g,n}(x_1..x_k,0..0) prod x_i dx;
-    every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2).
+    every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2), so a partition
+    contributes coeff * arr(part, k) / (2^(k-len) prod (2v+2)) * (L^2)^(|part|+k).
     """
-    Lp = L.as_poly()
-    Lsq_half = Lp * Lp * PiPoly.constant(Rat(1, 2))
+    Lsq = L.as_poly() ** 2
     total = PiPoly.zero()
     for part, coeff in _coeff_table(g, n, k, cache).items():
-        term = PiPoly.constant(_arrangements(part, k)) * coeff.to_poly()
+        den = 2 ** (k - len(part))
         for v in part:
-            term = term * (Lp ** (2 * v + 2)) * PiPoly.constant(Rat(1, 2 * v + 2))
-        term = term * Lsq_half ** (k - len(part))
-        total = total + term
+            den *= 2 * v + 2
+        scale = PiPoly({coeff.pideg: coeff.coeff * Rat(_arrangements(part, k), den)})
+        total = total + scale * Lsq ** (sum(part) + k)
     return total
 
 
@@ -435,31 +432,3 @@ def two_curve_expectation_bound(
     total = total * (1 / vol).to_poly()
     value = float(eval_numeric(total, digits).mid())
     return TwoCurveResult(total, value, value * (g + n))
-
-
-@dataclass
-class PoissonSample:
-    pmf: Dict[int, float]
-    factorial_moments: List[float]  # index r-1 holds the r-th moment
-    mean: float
-    trials: int
-    seed: int
-
-
-def simulate_poisson(
-    lam: float, trials: int, seed: int, rmax: int = 3
-) -> PoissonSample:
-    """Seeded Monte-Carlo companion: empirical pmf and factorial moments."""
-    if lam < 0 or trials < 1:
-        raise ValueError("need lam >= 0 and trials >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    sample = rng.poisson(lam, size=trials)
-    values, counts = np.unique(sample, return_counts=True)
-    pmf = {int(v): float(c) / trials for v, c in zip(values, counts)}
-    moments = []
-    x = sample.astype(np.float64)
-    acc = x.copy()
-    for r in range(1, rmax + 1):
-        moments.append(float(acc.mean()))
-        acc *= x - r
-    return PoissonSample(pmf, moments, float(x.mean()), trials, seed)

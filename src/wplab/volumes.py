@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
-from .brackets import BracketCache, bracket_rat, c_m, stable
+from .brackets import BracketCache, _insert_sorted, bracket_rat, c_m, stable
 from .topology import SplitPair
 
 __all__ = [
@@ -86,13 +86,41 @@ class VolumePolynomial:
         return self.coeffs[()]
 
     def at(self, lengths: Sequence) -> PiPoly:
-        """Exact evaluation at a list of n exact values (PiPoly-convertible)."""
+        """
+        Exact evaluation at a list of n exact values (PiPoly-convertible).
+
+        One dynamic program over the variables.  A state is the descending
+        tuple of nonzero exponents assigned so far; its value sums
+        prod x_i^(2 e_i) over the assignments that reach it, starting from
+        {(): 1}.  A nonzero length x takes state s to s (exponent 0) and to
+        s + {e} for 1 <= e <= D - |s|, D = 3g-3+n, with the powers
+        (x^2)^e built once per length; a zero length keeps every state and
+        is skipped.  The value is sum_s coeffs[s] * dp[s].
+        """
         if len(lengths) != self.n:
             raise ValueError(f"expected {self.n} lengths, got {len(lengths)}")
-        xs = [_to_poly(x) for x in lengths]
+        top = 3 * self.g - 3 + self.n
+        dp: Dict[Tuple[int, ...], PiPoly] = {(): PiPoly.constant(1)}
+        for x in map(_to_poly, lengths):
+            if not x:
+                continue
+            x2 = x * x
+            powers = [PiPoly.constant(1)]
+            for _ in range(top):
+                powers.append(powers[-1] * x2)
+            nxt = dict(dp)
+            for state, acc in dp.items():
+                for e in range(1, top - sum(state) + 1):
+                    key = _insert_sorted(state, e)
+                    term = acc * powers[e]
+                    prev = nxt.get(key)
+                    nxt[key] = term if prev is None else prev + term
+            dp = nxt
         total = PiPoly.zero()
-        for part, coeff in self.coeffs.items():
-            total = total + coeff.to_poly() * _monomial_symmetric(part, xs)
+        for state, acc in dp.items():
+            coeff = self.coeffs.get(state)
+            if coeff is not None:
+                total = total + coeff.to_poly() * acc
         return total
 
     def __repr__(self):
@@ -105,42 +133,6 @@ def _to_poly(x) -> PiPoly:
     if isinstance(x, PiScalar):
         return x.to_poly()
     return PiPoly.constant(Rat(x))
-
-
-def _monomial_symmetric(part: Tuple[int, ...], xs: List[PiPoly]) -> PiPoly:
-    """
-    Sum over distinct assignments of the parts to distinct variables of
-    prod x^(2*part).  Dynamic program over variables with a remaining-
-    count state per distinct part value; unassigned variables carry
-    exponent zero.
-    """
-    if not part:
-        return PiPoly.constant(1)
-    values: List[int] = []
-    counts: List[int] = []
-    for v in part:
-        if values and values[-1] == v:
-            counts[-1] += 1
-        else:
-            values.append(v)
-            counts.append(1)
-    start = tuple(counts)
-    dp: Dict[Tuple[int, ...], PiPoly] = {start: PiPoly.constant(1)}
-    for x in xs:
-        powers = {v: x ** (2 * v) for v in values}
-        nxt: Dict[Tuple[int, ...], PiPoly] = {}
-        for state, acc in dp.items():
-            prev = nxt.get(state)
-            nxt[state] = acc if prev is None else prev + acc
-            for j, r in enumerate(state):
-                if r:
-                    new_state = state[:j] + (r - 1,) + state[j + 1 :]
-                    term = acc * powers[values[j]]
-                    prev = nxt.get(new_state)
-                    nxt[new_state] = term if prev is None else prev + term
-        dp = nxt
-    done = tuple(0 for _ in values)
-    return dp.get(done, PiPoly.zero())
 
 
 def _coeff_table(

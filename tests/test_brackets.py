@@ -230,6 +230,7 @@ def test_recursion_depth_bounded_by_dimension() -> None:
         "import sys\n"
         "before = sys.getrecursionlimit()\n"
         "import wplab\n"
+        "assert 'numpy' not in sys.modules\n"
         "assert sys.getrecursionlimit() == before, sys.getrecursionlimit()\n"
         "sys.setrecursionlimit(60)\n"
         "print(wplab.volume(5, 3, wplab.BracketCache()).render())\n"
@@ -260,6 +261,15 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
     inhomogeneous.write_text("wpbracket v1\n0|0:3|1/1*pi^2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         cache_load(inhomogeneous, BracketCache())
+
+    # |d| = 5 > 3g-3+n = 2: rejected whatever the value, zero included
+    for value in ("1/1*pi^-6", "0/1*pi^0"):
+        over_full = tmp_path / "over_full.txt"
+        over_full.write_text(
+            f"wpbracket v1\n0|0:3|1/1*pi^0\n0|1:5|{value}\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=r"over_full\.txt: line 3: exponent sum 5"):
+            cache_load(over_full, BracketCache())
 
 
 def test_bracket_key_canonicalization() -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from wplab.random_model import (
     ARCSINH1,
     BudgetExceeded,
     CutoffLength,
+    box_count_integral,
     cheeger_prob_upper,
     expected_pants_count,
     factorial_moment,
@@ -18,11 +20,10 @@ from wplab.random_model import (
     pvol2_sum,
     second_moment_bound,
     simplex_monomial_integral,
-    simulate_poisson,
     two_curve_expectation_bound,
 )
 from wplab.topology import enumerate_splits, pairing_multiplicity
-from wplab.volumes import volume
+from wplab.volumes import volume, volume_poly
 
 
 def test_cutoff_parse_and_render() -> None:
@@ -88,6 +89,28 @@ def test_box_integral_reproduces_sinh_antiderivative() -> None:
             left += L ** (2 * j + 2) / Fraction(4 ** j * factorial(2 * j + 1) * (2 * j + 2))
             right += 4 * (L / 2) ** (2 * j + 2) / factorial(2 * j + 2)
         assert left == right
+
+
+def test_box_count_integral_matches_term_by_term() -> None:
+    # int over [0, L]^k of V_{g,n}(x_1..x_k, 0..0) prod x_i dx, summed over
+    # every ordered exponent vector e: x^(2e+1) integrates to L^(2e+2)/(2e+2)
+    cutoffs = (CutoffLength.rational(Fraction(3, 7)), CutoffLength.pi_multiple(Fraction(2, 5)))
+    for g, n in [(0, 5), (1, 2), (1, 3), (2, 3)]:
+        poly = volume_poly(g, n)
+        top = 3 * g - 3 + n
+        for k in range(1, min(n, 3) + 1):
+            for L in cutoffs:
+                Lp = L.as_poly()
+                want = PiPoly.zero()
+                for e in itertools.product(range(top + 1), repeat=k):
+                    if sum(e) > top:
+                        continue
+                    term = poly.coefficient(e).to_poly()
+                    for v in e:
+                        term = term * Lp ** (2 * v + 2) * rat(1, 2 * v + 2)
+                    want = want + term
+                got = box_count_integral(g, n, k, L)
+                assert got == want, (g, n, k, L.render())
 
 
 def test_simplex_monomial_integral() -> None:
@@ -207,21 +230,3 @@ def test_two_curve_expectation() -> None:
     assert res0.value / float(C) ** 4 == pytest.approx(lead, rel=1e-4)
     with pytest.raises(ValueError):
         two_curve_expectation_bound(0, 4, Fraction(1, 20))
-
-
-def test_simulate_poisson() -> None:
-    zero = simulate_poisson(0.0, 1000, 5)
-    assert zero.pmf == {0: 1.0}
-    assert zero.factorial_moments[0] == 0.0
-
-    one = simulate_poisson(1.0, 1_000_000, 42)
-    assert one.mean == pytest.approx(1.0, abs=3e-3)  # 3 sigma of 1e-3
-
-    two = simulate_poisson(2.0, 1_000_000, 11, rmax=3)
-    assert two.factorial_moments[1] == pytest.approx(4.0, rel=0.02)
-    assert two.factorial_moments[2] == pytest.approx(8.0, rel=0.05)
-
-    again = simulate_poisson(2.0, 10_000, 11)
-    assert again.pmf == simulate_poisson(2.0, 10_000, 11).pmf  # seeded determinism
-    with pytest.raises(ValueError):
-        simulate_poisson(-1.0, 10, 0)

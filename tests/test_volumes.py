@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -64,6 +65,35 @@ def test_volume_at_matches_direct_expansion() -> None:
         got = volume_at(1, 1, [PiPoly.constant(rat(x.numerator, x.denominator))])
         want = PiPoly({0: rat(x.numerator ** 2, 48 * x.denominator ** 2), 2: rat(1, 12)})
         assert got == want
+
+    # brute force over every ordered exponent vector d with |d| <= 3g-3+n:
+    # sum coefficient(sorted d) * prod x_i^(2 d_i), at lengths that mix a
+    # zero, an int, a rational, a multiple of pi, a two-term value and a
+    # repeated length; (value passed, same value as a PiPoly)
+    two_term = PiPoly({0: rat(1, 2), 1: rat(1, 3)})
+    pool = [
+        (0, PiPoly.zero()),
+        (3, PiPoly.constant(3)),
+        (PiPoly.constant(rat(2, 5)), PiPoly.constant(rat(2, 5))),
+        (PiScalar(rat(3, 4), 1), PiPoly({1: rat(3, 4)})),
+        (two_term, two_term),
+        (two_term, two_term),
+    ]
+    for g, n in [(0, 3), (0, 5), (1, 3), (2, 2), (1, 1)]:
+        poly = volume_poly(g, n)
+        top = 3 * g - 3 + n
+        for shift in range(len(pool)):
+            chosen = (pool[shift:] + pool[:shift])[:n]
+            want = PiPoly.zero()
+            for d in itertools.product(range(top + 1), repeat=n):
+                if sum(d) > top:
+                    continue
+                term = poly.coefficient(d).to_poly()
+                for (_, x), e in zip(chosen, d):
+                    term = term * x ** (2 * e)
+                want = want + term
+            got = volume_at(g, n, [value for value, _ in chosen])
+            assert got == want, (g, n, shift)
 
 
 def test_mz_ratio_values() -> None:
