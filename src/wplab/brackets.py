@@ -8,35 +8,38 @@ pi^(2*d0) with d0 = 3g-3+n-|d|.  The engine therefore memoizes only the
 rational part; the pi-power is implied by the key.  Keys are canonical
 multisets (g, n, nonzero entries sorted descending).
 
-The recursion removes a distinguished entry d1 = max(d) and assembles
-three groups of contributions:
+The table is built one slice vector at a time:
+T[(g, n, base)][k] = q(g, n, base + {k}) for k = 0..D, D = 3g-3+n-|base|.
+Mirzakhani's recursion holds with any boundary as the distinguished one,
+and the kernel takes the inserted point k.  Then every child is the same
+for all D+1 entries, and only the shift of a_L depends on k:
 
-* a merge with each remaining entry (surface loses one marked point),
-* a pair-creation term on genus g-1 with two new entries {k1, k2}, each
-  unordered pair visited once,
-* products over splittings of the remaining entries between two
-  stable pieces whose genera sum to g.
+* merge: for each remaining entry v (c of them), the slice x of the
+  other entries on (g, n-1) gives 8c(2v+1) sum_L a_L x[k+v-1+L];
+* pair creation: two new entries {k1, k2} on genus g-1, read from the
+  slices (g-1, n+1, base + {k1}), each unordered pair visited once;
+* splits: the remaining entries shared between two stable pieces whose
+  genera sum to g, each unordered split {(left, g_left), (right, g_right)}
+  visited once, with one convolution x * y of the pieces' slices.
 
-Remaining entries are grouped by value, and splittings are enumerated as
+Pair creation and splits only depend on j = k1 + k2 <= D-2, so they
+accumulate once into S[j], and entry k is merge_k + sum_j S[j] a_{j-k+2}.
+Remaining entries are grouped by value, and splits are enumerated as
 sub-multisets with binomial weights, which keeps the cost polynomial for
-the zero-heavy inputs that dominate volume computations.  Each unordered
-split {(left, g_left), (right, g_right)} is visited once, the
-off-diagonal ones with weight 2.  Every child is read through a slice
-vector T[(g', n', base)][k] = q(g', n', base + {k}),
-k = 0..3g'-3+n'-|base|, which the BracketCache memoizes beside the table
-it reads: the merge term is a dot product of one slice vector with a_L,
-the pair-creation term one per k1 with the k2 >= k1 tail of a slice
-vector, and the split term a short convolution of two slice vectors
-against a_L.  Slice vectors and the a_L table are integer numerators over
-one common denominator each, and the three terms are summed as integers
-per denominator, so a new bracket builds one rational.  Slice vectors
-end at the top dimension and split pieces are kept only when stable, so
-every child is a stable key with n >= 1 and |d| <= 3g-3+n; `_cached_q`,
-the one entry from outside, is the only place that checks keys
-(unstable or over-full ones are zero there).
+the zero-heavy inputs that dominate volume computations.  Slice vectors
+and the a_L table are integer numerators over one common denominator
+each; every term of a slice is summed as integers per denominator, the
+denominators are folded into one before the per-entry loop, and each
+entry builds one rational.  The BracketCache keeps the slices beside the
+table they are read from.  An entry already in the table wins over the
+value a slice recomputes, and a slice whose entries are all in the table
+is read, not computed.  `_cached_q`, the one entry from outside, answers a
+key from the slice that leaves out its largest entry, and is the only
+place that checks keys (unstable or over-full ones are zero there).
 The closed surface case n = 0 is unreachable by the recursion and is
-produced from the (g, 1) brackets through the alternating-sum identity
-(2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}.
+produced from the (g, 1) slice through the alternating-sum identity
+(2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}; V_{g,1} itself
+is one dimension higher and enters the table only when asked for.
 """
 
 from __future__ import annotations
@@ -165,90 +168,124 @@ def default_cache() -> BracketCache:
     return _default_cache
 
 
-def _q(
-    g: int, n: int, dnz: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
-) -> Rat:
+def _slice(
+    g: int, n: int, base: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
+) -> Slice:
     """
-    Rational part of the bracket at a canonical key.  The key must be
-    stable with n >= 1 and |d| <= 3g-3+n: `_cached_q` checks that for
-    outside callers, and every child read through `_slice` satisfies it.
+    Slice vector q(g, n, base + {k}) for k = 0..3g-3+n-|base|, as integer
+    numerators over their least common denominator; empty past the top
+    dimension.  (g, n) must be stable with n >= 1.  An entry already in
+    `memo` wins over the value `_slice_values` computes for it.
     """
-    key = (g, n, dnz)
-    v = memo.get(key)
-    if v is not None:
-        return v
+    key = (g, n, base)
+    sv = slices.get(key)
+    if sv is None:
+        top = 3 * g - 3 + n - sum(base)
+        if top < 0:
+            return (), 1
+        keys = [key] + [(g, n, _insert_sorted(base, k)) for k in range(1, top + 1)]
+        values = [memo.get(k) for k in keys]
+        if None in values:
+            fresh = _slice_values(g, n, base, top, memo, slices)
+            values = list(map(memo.setdefault, keys, fresh))
+        sv = slices[key] = _over_lcm(values)
+    return sv
+
+
+def _slice_values(
+    g: int,
+    n: int,
+    base: Tuple[int, ...],
+    top: int,
+    memo: Dict[Key, Rat],
+    slices: Dict[Key, Slice],
+) -> List[Rat]:
+    """
+    q(g, n, base + {k}) for k = 0..top in one pass, with the inserted point
+    k as the distinguished entry, so every child slice is shared by all k.
+    """
     if g == 0 and n == 3:
-        memo[key] = Rat(1)
-        return memo[key]
+        return [Rat(1)]
     if g == 1 and n == 1:
-        memo[key] = Rat(1, 12) if not dnz else Rat(1, 2)
-        return memo[key]
+        return [Rat(1, 12), Rat(1, 2)]
+    items = _value_counts((g, n - 1, base))
+    a, a_den = _a_table(top)
+    # integer vectors keyed by denominator d: merge[d][k] is entry k's merge
+    # term over a_den * d, S[d][j] the pair-creation and split terms with
+    # k1 + k2 = j over d
+    merge: Dict[int, List[int]] = {}
+    S: Dict[int, List[int]] = {}
 
-    d0 = 3 * g - 3 + n - sum(dnz)
-    d1 = dnz[0] if dnz else 0
-    rest = dnz[1:]
-    items = _value_counts((g, n - 1, rest))
-    a_num, a_den = _a_table(d0)
-    # a[k1 + k2] is a_L at L = k1 + k2 - d1 + 2
-    a = (0,) * (d1 - 2) + a_num if d1 >= 2 else a_num[2 - d1 :]
-    # all three terms as integer numerators over a_den * d, keyed by d
-    parts: Dict[int, int] = {}
-
-    # merge d1 with one remaining entry of value v_ (count c of them):
-    # sum_L a_L x[d1 + v_ - 1 + L] over the slice x of the other entries
-    for v_, c in items:
-        if v_:
-            sub = list(rest)
-            sub.remove(v_)
-            base = tuple(sub)
+    # merge k with one remaining entry of value v (c of them):
+    # sum_L a_L x[k + v - 1 + L] over the slice x of the other entries
+    for v, c in items:
+        if v:
+            sub = list(base)
+            sub.remove(v)
+            rest = tuple(sub)
         else:
-            base = rest
-        x, x_den = _slice(g, n - 1, base, memo, slices)
-        off = d1 + v_ - 1
-        t = sum(map(mul, x[max(off, 0) :], a_num[max(-off, 0) :]))
-        if t:
-            parts[x_den] = parts.get(x_den, 0) + 8 * c * (2 * v_ + 1) * t
+            rest = base
+        x, x_den = _slice(g, n - 1, rest, memo, slices)
+        w = 8 * c * (2 * v + 1)
+        acc = merge.setdefault(x_den, [0] * (top + 1))
+        for k in range(top + 1):
+            off = k + v - 1
+            t = sum(map(mul, x[off:], a)) if off >= 0 else sum(map(mul, x, a[1:]))
+            acc[k] += w * t
 
     # create an entry pair {k1, k2} on genus g-1; k1 <= k2, k1 < k2 doubled.
     # Past the base cases, g >= 1 leaves (g-1, n+1) stable.
     if g:
-        for k1 in range((d0 + d1 - 2) // 2 + 1):
-            base = _insert_sorted(rest, k1) if k1 else rest
-            y, y_den = _slice(g - 1, n + 1, base, memo, slices)
-            t = y[k1] * a[2 * k1] + 2 * sum(map(mul, y[k1 + 1 :], a[2 * k1 + 1 :]))
-            if t:
-                parts[y_den] = parts.get(y_den, 0) + 16 * t
+        for k1 in range(top // 2):
+            y, y_den = _slice(g - 1, n + 1, _insert_sorted(base, k1) if k1 else base, memo, slices)
+            acc = S.setdefault(y_den, [0] * (top - 1))
+            acc[2 * k1] += 16 * y[k1]
+            for k2 in range(k1 + 1, len(y)):
+                acc[k1 + k2] += 32 * y[k2]
 
     # unordered splits {(left, g_left), (right, g_right)} of the remaining
-    # entries; the sum over L and k1 + k2 = L + d1 - 2 is a convolution
-    # of the two pieces' slice vectors x, y: sum x_k1 y_k2 a[k1 + k2]
+    # entries: one convolution of the two pieces' slice vectors x, y each.
+    # The pieces' top dimensions sum to top - 2, and a piece with a
+    # nonnegative top dimension is stable.
     for base_left, n_left, base_right, n_right, weight in _splits(items):
         diagonal = (base_left, n_left) == (base_right, n_right)
         if not diagonal and (base_left, n_left) < (base_right, n_right):
             continue  # visited as its mirror image
-        n_left += 1
-        n_right += 1
+        top_zero = n_left - 2 - sum(base_left)  # the left top at g_left = 0
         for g_left in range(g + 1):
-            g_right = g - g_left
-            if diagonal and g_left > g_right:
+            top_left = top_zero + 3 * g_left
+            if top_left < 0 or top_left > top - 2 or (diagonal and 2 * g_left > g):
                 continue
-            if not stable(g_left, n_left) or not stable(g_right, n_right):
-                continue
-            x, x_den = _slice(g_left, n_left, base_left, memo, slices)
-            y, y_den = _slice(g_right, n_right, base_right, memo, slices)
-            t = 0
-            for k1, xk in enumerate(x):
-                if xk:
-                    t += xk * sum(map(mul, y, a[k1:]))
-            if t:
-                den = x_den * y_den
-                w = 16 if diagonal and g_left == g_right else 32
-                parts[den] = parts.get(den, 0) + w * weight * t
+            x, x_den = _slice(g_left, n_left + 1, base_left, memo, slices)
+            y, y_den = _slice(g - g_left, n_right + 1, base_right, memo, slices)
+            w = (16 if diagonal and 2 * g_left == g else 32) * weight
+            acc = S.setdefault(x_den * y_den, [0] * (top - 1))
+            # len(x) + len(y) = top, so j = k1 + k2 runs over 0..top-2
+            ry = y[::-1]
+            last = len(y) - 1
+            for j in range(top - 1):
+                lo = j - last if j > last else 0
+                acc[j] += w * sum(map(mul, x[lo : j + 1], ry[last - j + lo :]))
 
-    den = lcm(*parts)
-    total = Rat(sum(v * (den // d) for d, v in parts.items()), den * a_den)
-    memo[key] = total
-    return total
+    # one denominator for every term; entry k is
+    # merge_k + sum_j S[j] a_{j-k+2}
+    den = lcm(*merge, *S)
+    merge_num = _fold(merge, den, top + 1)
+    S_num = _fold(S, den, top - 1)
+    den *= a_den
+    out = []
+    for k in range(top + 1):
+        t = sum(map(mul, S_num[k - 2 :], a)) if k >= 2 else sum(map(mul, S_num, a[2 - k :]))
+        out.append(Rat(merge_num[k] + t, den))
+    return out
+
+
+def _fold(parts: Dict[int, List[int]], den: int, size: int) -> List[int]:
+    """Sum integer vectors keyed by denominator over the common `den`."""
+    if not parts:
+        return [0] * size
+    scales = [den // d for d in parts]
+    return [sum(map(mul, col, scales)) for col in zip(*parts.values())]
 
 
 def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
@@ -257,33 +294,20 @@ def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
     v = memo.get(key)
     if v is not None:
         return v
+    one = (g, 1, ())
+    had_one = one in memo
+    x, den = _slice(g, 1, (), memo, slices)
+    if not had_one:
+        # V_{g,1} lies one dimension past V_{g,0}: keep the table to the
+        # keys asked for, the slice stays
+        memo.pop(one, None)
     total = Rat(0)
     for m in range(1, 3 * g - 2 + 1):
-        t = _q(g, 1, (m,), memo, slices)
-        if t:
-            total += (-1) ** (m - 1) * _coeff_b_rat(m) * t
-    total /= 2 * (2 * g - 2)
+        if x[m]:
+            total += (-1) ** (m - 1) * _coeff_b_rat(m) * x[m]
+    total /= 2 * (2 * g - 2) * den
     memo[key] = total
     return total
-
-
-def _slice(
-    g: int, n: int, base: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
-) -> Slice:
-    """
-    Slice vector of a child: q(g, n, base + {k}) for k = 0..3g-3+n-|base|
-    as integer numerators over their least common denominator.
-    """
-    key = (g, n, base)
-    sv = slices.get(key)
-    if sv is None:
-        # a loop, not a comprehension: before Python 3.12 a comprehension
-        # is one more stack frame per recursion level
-        values = []
-        for k in range(3 * g - 3 + n - sum(base) + 1):
-            values.append(_q(g, n, _insert_sorted(base, k) if k else base, memo, slices))
-        sv = slices[key] = _over_lcm(values)
-    return sv
 
 
 @lru_cache(maxsize=None)
@@ -332,9 +356,16 @@ def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) 
     cache = _default_cache if cache is None else cache
     if not stable(g, n) or sum(dnz) > 3 * g - 3 + n:
         return Rat(0)
+    memo = cache.entries
     if n == 0:
-        return _q_closed(g, cache.entries, cache.slices)
-    return _q(g, n, dnz, cache.entries, cache.slices)
+        return _q_closed(g, memo, cache.slices)
+    key = (g, n, dnz)
+    v = memo.get(key)
+    if v is None:
+        # the slice that leaves out the largest entry
+        x, den = _slice(g, n, dnz[1:], memo, cache.slices)
+        v = memo.setdefault(key, Rat(x[dnz[0] if dnz else 0], den))
+    return v
 
 
 def bracket_rat(g: int, d: Sequence[int], cache: BracketCache | None = None) -> Rat:
@@ -438,11 +469,11 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
     Load entries, verifying the version header, that each key's exponents
-    sum to at most 3g-3+n, and per-line homogeneity.  Malformed input
-    reports its line number.  Returns entries read.
+    sum to at most 3g-3+n, that no key repeats, and per-line homogeneity.
+    Malformed input reports its line number.  Returns entries read.
     """
     cache = _default_cache if cache is None else cache
-    count = 0
+    first_line: Dict[Key, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CACHE_VERSION:
@@ -457,6 +488,9 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 n, dnz = _decode_counts(counts_s)
                 value = PiScalar.parse(value_s)
                 key = (g, n, dnz)
+                first = first_line.setdefault(key, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate key {g_s}|{counts_s}, first at line {first}")
                 if not stable(g, n):
                     raise ValueError("unstable signature")
                 expected = pideg_of_key(key)
@@ -475,5 +509,4 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             cache.insert(key, q)
-            count += 1
-    return count
+    return len(first_line)

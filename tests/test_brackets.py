@@ -15,6 +15,7 @@ from wplab.brackets import (
     cache_load,
     cache_save,
 )
+from wplab.lab import LabConfig, cache_warm
 from wplab.volumes import volume
 
 from reference_recursion import bracket_reference
@@ -270,6 +271,28 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
         )
         with pytest.raises(ValueError, match=r"over_full\.txt: line 3: exponent sum 5"):
             cache_load(over_full, BracketCache())
+
+    # a key repeated within one file, with another value or the same one
+    for value in ("3/1*pi^2", "2/1*pi^2"):
+        repeated = tmp_path / "repeated.txt"
+        repeated.write_text(
+            f"wpbracket v1\n0|0:4|2/1*pi^2\n0|0:4|{value}\n", encoding="utf-8"
+        )
+        with pytest.raises(
+            ValueError, match=r"repeated\.txt: line 3: duplicate key 0\|0:4, first at line 2"
+        ):
+            cache_load(repeated, BracketCache())
+
+
+def test_closed_volume_leaves_out_v_g1() -> None:
+    # V_{2,0} is read off the slice (2, 1, ()), but V_{2,1} lies one
+    # dimension past budget 3 and enters the table only at budget 4
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=3), cache=cache)
+    assert (2, 0, ()) in cache.entries
+    assert (2, 1, ()) not in cache.entries, "budget 3 stored V_{2,1}"
+    cache_warm(LabConfig(budget=4), cache=cache)
+    assert (2, 1, ()) in cache.entries, "budget 4 did not store V_{2,1}"
 
 
 def test_bracket_key_canonicalization() -> None:

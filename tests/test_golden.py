@@ -3,8 +3,9 @@ Golden gate: `wplab <experiment> --budget 12` must reproduce the CSV bytes
 committed in tests/golden/budget12 for every experiment, and the bracket
 table that `cache-warm` persists must keep its sha256.
 
-The tables that `cache_warm` persists at budgets 8, 10, 14, 16 and 18
-are pinned by sha256 as well.
+The tables that `cache_warm` persists at budgets 8, 10, 14, 16, 18 and
+20 are pinned by sha256 as well, and so is the budget-12 table that a
+ladder of warms on one cache leaves.
 
 The cache-warm row names the cache path it wrote; its golden file holds
 the placeholder `<tmp>` for that directory.  The other experiments run
@@ -31,6 +32,7 @@ BRACKETS_SHA256_BY_BUDGET = {
     14: "c76bf5b14a323d287afdad73011b2e0cd67e4e64340544e460fd39694790617a",
     16: "42b2739347ef09c6131f2f8e5e1a9ff72b4b1b85f5f26fbe0ba4f7e60abd669e",
     18: "fcb85b322cf49480d498b5dad8072b68c4cf3fa90144d57ad1caabd36b726f2a",
+    20: "897f565c48a7c61a3d82e7bfee8b48c19c1c2dee073109582716e9eb5cb6cab7",
 }
 
 
@@ -89,3 +91,14 @@ def test_cache_warm_table_sha256(tmp_path, budget) -> None:
     stats = cache_warm(LabConfig(budget=budget, cache_dir=str(tmp_path)), cache=BracketCache())
     digest = hashlib.sha256(Path(stats.path).read_bytes()).hexdigest()
     assert digest == BRACKETS_SHA256_BY_BUDGET[budget], f"budget {budget}: sha256 {digest}"
+
+
+def test_cache_warm_ladder_table_sha256(tmp_path) -> None:
+    # each warm starts from the table the one below left: every key it
+    # adds, and none it should not, must come out as in one cold warm
+    cache = BracketCache()
+    cfg = LabConfig(budget=12, cache_dir=str(tmp_path))
+    for budget in range(13):
+        stats = cache_warm(cfg, budget=budget, cache=cache)
+    digest = hashlib.sha256(Path(stats.path).read_bytes()).hexdigest()
+    assert digest == BRACKETS_SHA256, f"budget-12 ladder: sha256 {digest}"
