@@ -25,7 +25,6 @@ from .exact import (
 )
 from .brackets import (
     BracketCache,
-    BracketKey,
     bracket,
     c_m,
     cache_load,

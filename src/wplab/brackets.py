@@ -33,9 +33,13 @@ denominators are folded into one before the per-entry loop, and each
 entry builds one rational.  The BracketCache keeps the slices beside the
 table they are read from.  An entry already in the table wins over the
 value a slice recomputes, and a slice whose entries are all in the table
-is read, not computed.  `_cached_q`, the one entry from outside, answers a
-key from the slice that leaves out its largest entry, and is the only
-place that checks keys (unstable or over-full ones are zero there).
+is read, not computed.
+
+`stable` is the signature rule, and `canonical_key` validates public
+exponent lists against it.  `_cached_q` is the one entry into the
+recursion: it takes a canonical key, answers it from the slice that leaves
+out its largest entry, and reads an unstable or over-full key as zero.
+
 The closed surface case n = 0 is unreachable by the recursion and is
 produced from the (g, 1) slice through the alternating-sum identity
 (2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}; V_{g,1} itself
@@ -50,11 +54,10 @@ from math import comb, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
+from .exact import _SCALAR_RE, PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
 
 __all__ = [
     "BracketCache",
-    "BracketKey",
     "bracket",
     "bracket_rat",
     "c_m",
@@ -74,14 +77,20 @@ Slice = Tuple[Tuple[int, ...], int]
 
 
 def stable(g: int, n: int) -> bool:
-    """Signature test: the moduli space is nontrivial iff 2g-2+n > 0."""
-    return 2 * g - 2 + n > 0
+    """The signature rule: M_{g,n} is nontrivial iff g, n >= 0 and 2g-2+n > 0."""
+    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
+
+
+def _require_stable(g: int, n: int) -> None:
+    if not stable(g, n):
+        raise ValueError(f"unstable signature ({g},{n})")
 
 
 def canonical_key(g: int, d: Sequence[int]) -> Key:
-    """Canonical (g, n, nonzero-descending) key for an exponent multiset."""
-    if g < 0:
-        raise ValueError("negative genus")
+    """
+    Canonical (g, n, nonzero-descending) key for an exponent multiset;
+    rejects a negative entry, then an unstable signature.
+    """
     n = len(d)
     nz = []
     for x in d:
@@ -89,6 +98,7 @@ def canonical_key(g: int, d: Sequence[int]) -> Key:
             raise ValueError(f"negative tau index {x}")
         if x:
             nz.append(x)
+    _require_stable(g, n)
     return (g, n, tuple(sorted(nz, reverse=True)))
 
 
@@ -96,44 +106,6 @@ def pideg_of_key(key: Key) -> int:
     """Homogeneity degree 2*d0 = 2*(3g-3+n-|d|) of a stored bracket."""
     g, n, dnz = key
     return 2 * (3 * g - 3 + n - sum(dnz))
-
-
-class BracketKey:
-    """Canonical identifier (g, exponent multiset) of a bracket."""
-
-    __slots__ = ("g", "n", "dnz")
-
-    def __init__(self, g: int, d: Sequence[int]):
-        g_, n_, dnz_ = canonical_key(g, d)
-        if not stable(g_, n_):
-            raise ValueError(f"unstable signature ({g_},{n_})")
-        object.__setattr__(self, "g", g_)
-        object.__setattr__(self, "n", n_)
-        object.__setattr__(self, "dnz", dnz_)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BracketKey is immutable")
-
-    @property
-    def key(self) -> Key:
-        return (self.g, self.n, self.dnz)
-
-    @property
-    def pideg(self) -> int:
-        return pideg_of_key(self.key)
-
-    def counts(self) -> List[Tuple[int, int]]:
-        """(value, count) pairs, descending value, tau_0 count explicit."""
-        return _value_counts(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, BracketKey) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"BracketKey(g={self.g}, n={self.n}, d={self.dnz})"
 
 
 class BracketCache:
@@ -247,10 +219,7 @@ def _slice_values(
     # entries: one convolution of the two pieces' slice vectors x, y each.
     # The pieces' top dimensions sum to top - 2, and a piece with a
     # nonnegative top dimension is stable.
-    for base_left, n_left, base_right, n_right, weight in _splits(items):
-        diagonal = (base_left, n_left) == (base_right, n_right)
-        if not diagonal and (base_left, n_left) < (base_right, n_right):
-            continue  # visited as its mirror image
+    for base_left, n_left, base_right, n_right, weight, diagonal in _splits(items):
         top_zero = n_left - 2 - sum(base_left)  # the left top at g_left = 0
         for g_left in range(g + 1):
             top_left = top_zero + 3 * g_left
@@ -332,27 +301,30 @@ def _insert_sorted(base: Tuple[int, ...], x: int) -> Tuple[int, ...]:
 
 def _splits(
     items: List[Tuple[int, int]],
-) -> Iterator[Tuple[Tuple[int, ...], int, Tuple[int, ...], int, int]]:
+) -> Iterator[Tuple[Tuple[int, ...], int, Tuple[int, ...], int, int, bool]]:
     """
-    Every ordered split of the multiset `items` ((value, count) pairs,
-    descending, zeros last) as (left nonzero entries, left size, right
-    nonzero entries, right size, product-of-binomials weight).
+    Every unordered split {left, right} of the multiset `items` ((value,
+    count) pairs, descending, zeros last) once, as (left nonzero entries,
+    left size, right nonzero entries, right size, product-of-binomials
+    weight, diagonal).  The tail is split first; while its two pieces are
+    tied (equal), the left piece takes at least half of the current value
+    class.  A split still tied after the first class is the diagonal one.
     """
     if not items:
-        yield (), 0, (), 0, 1
+        yield (), 0, (), 0, 1, True
         return
     (v, c), tail = items[0], items[1:]
-    for left, n_left, right, n_right, w in _splits(tail):
-        for t in range(c + 1):
+    for left, n_left, right, n_right, w, tied in _splits(tail):
+        for t in range((c + 1) // 2 if tied else 0, c + 1):
             if v:
                 left_t, right_t = (v,) * t + left, (v,) * (c - t) + right
             else:
                 left_t, right_t = left, right
-            yield left_t, n_left + t, right_t, n_right + c - t, w * comb(c, t)
+            yield left_t, n_left + t, right_t, n_right + c - t, w * comb(c, t), tied and 2 * t == c
 
 
 def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) -> Rat:
-    """The one entry into the recursion: the only place that checks a key."""
+    """The one entry into the recursion, on canonical keys; unstable or over-full ones are 0."""
     cache = _default_cache if cache is None else cache
     if not stable(g, n) or sum(dnz) > 3 * g - 3 + n:
         return Rat(0)
@@ -370,8 +342,7 @@ def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) 
 
 def bracket_rat(g: int, d: Sequence[int], cache: BracketCache | None = None) -> Rat:
     """Rational part of [prod tau_{d_i}]_{g,n}; pi-power is 2*d0."""
-    key = BracketKey(g, d)
-    return _cached_q(key.g, key.n, key.dnz, cache)
+    return _cached_q(*canonical_key(g, d), cache)
 
 
 def bracket(g: int, d: Sequence[int], cache: BracketCache | None = None) -> PiScalar:
@@ -379,11 +350,11 @@ def bracket(g: int, d: Sequence[int], cache: BracketCache | None = None) -> PiSc
     Exact bracket [prod tau_{d_i}]_{g,n} for n = len(d).  Returns 0 when
     |d| > 3g-3+n; raises on unstable signatures and negative entries.
     """
-    key = BracketKey(g, d)
-    q = _cached_q(key.g, key.n, key.dnz, cache)
+    key = canonical_key(g, d)
+    q = _cached_q(*key, cache)
     if q == 0:
         return PiScalar.zero()
-    return PiScalar(q, key.pideg)
+    return PiScalar(q, pideg_of_key(key))
 
 
 def c_m(g: int, n: int, m: int, cache: BracketCache | None = None) -> PiScalar:
@@ -391,8 +362,7 @@ def c_m(g: int, n: int, m: int, cache: BracketCache | None = None) -> PiScalar:
     Bracket-to-volume ratio [tau_m tau_0^n]_{g,n+1} / V_{g,n+1}; exact,
     pi-degree -2m, with c_0 = 1.  Requires 0 <= m <= 3g-2+n.
     """
-    if not stable(g, n + 1):
-        raise ValueError(f"unstable signature ({g},{n + 1})")
+    _require_stable(g, n + 1)
     if m < 0 or m > 3 * g - 2 + n:
         raise ValueError(f"c_m index m={m} outside [0, {3 * g - 2 + n}]")
     num = _cached_q(g, n + 1, (m,) if m else (), cache)
@@ -486,7 +456,12 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 g_s, counts_s, value_s = line.split("|")
                 g = int(g_s)
                 n, dnz = _decode_counts(counts_s)
-                value = PiScalar.parse(value_s)
+                m = _SCALAR_RE.match(value_s.strip())
+                if not m:
+                    raise ValueError(f"malformed PiScalar {value_s!r}")
+                num, den, pideg = map(int, m.groups())
+                if not den:
+                    raise ValueError(f"zero denominator in {value_s.strip()!r}")
                 key = (g, n, dnz)
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:
@@ -498,14 +473,10 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                     raise ValueError(
                         f"exponent sum {sum(dnz)} exceeds 3g-3+n = {3 * g - 3 + n}"
                     )
-                if value.is_zero():
-                    q = Rat(0)
-                elif value.pideg != expected:
-                    raise ValueError(
-                        f"pi-degree {value.pideg} violates homogeneity {expected}"
-                    )
-                else:
-                    q = value.coeff
+                # a zero value keeps any pi-degree
+                if num and pideg != expected:
+                    raise ValueError(f"pi-degree {pideg} violates homogeneity {expected}")
+                q = Rat(num, den)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             cache.insert(key, q)

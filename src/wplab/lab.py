@@ -29,7 +29,7 @@ from . import recorded
 from .exact import PiScalar, eval_numeric
 from .brackets import (
     BracketCache,
-    bracket_rat,
+    _cached_q,
     cache_load,
     cache_save,
     default_cache,
@@ -536,7 +536,7 @@ def cache_warm(
             if not stable(g, n):
                 continue
             for part in partitions_upto(3 * g - 3 + n, n):
-                bracket_rat(g, list(part) + [0] * (n - len(part)), cache)
+                _cached_q(g, n, part, cache)
     seconds = time.perf_counter() - t0
     path = None
     if cfg.cache_dir:

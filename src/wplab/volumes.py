@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
-from .brackets import BracketCache, _insert_sorted, bracket_rat, c_m, stable
+from .brackets import BracketCache, _cached_q, _insert_sorted, _require_stable, c_m
 from .topology import SplitPair
 
 __all__ = [
@@ -50,20 +50,14 @@ def partitions_upto(max_sum: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
     yield from rec([], max_sum, max_sum, max_parts)
 
 
-def _require_stable(g: int, n: int) -> None:
-    if g < 0 or n < 0 or not stable(g, n):
-        raise ValueError(f"unstable signature ({g},{n})")
-
-
 def volume_rat(g: int, n: int, cache: BracketCache | None = None) -> Rat:
     """Rational part of V_{g,n} (pi-power 2*(3g-3+n))."""
     _require_stable(g, n)
-    return bracket_rat(g, [0] * n, cache)
+    return _cached_q(g, n, (), cache)
 
 
 def volume(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
     """Exact Weil-Petersson volume V_{g,n} = [tau_0^n]_{g,n}."""
-    _require_stable(g, n)
     return PiScalar(volume_rat(g, n, cache), 2 * (3 * g - 3 + n))
 
 
@@ -142,11 +136,12 @@ def _coeff_table(
     Nonzero coefficients of V_{g,n} on the monomials in at most max_parts
     variables, i.e. of V_{g,n}(x_1..x_k, 0..0) for k = max_parts.
     """
+    _require_stable(g, n)
     budget = 3 * g - 3 + n
     coeffs: Dict[Tuple[int, ...], PiScalar] = {}
     for part in partitions_upto(budget, min(max_parts, n)):
         s = sum(part)
-        q = bracket_rat(g, list(part) + [0] * (n - len(part)), cache)
+        q = _cached_q(g, n, part, cache)
         if q == 0:
             continue
         den = 4 ** s
@@ -158,7 +153,6 @@ def _coeff_table(
 
 def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePolynomial:
     """Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n."""
-    _require_stable(g, n)
     return VolumePolynomial(g, n, _coeff_table(g, n, n, cache))
 
 
@@ -171,8 +165,6 @@ def volume_at(
 
 def mz_ratio(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
     """(2g-2+n) V_{g,n} / V_{g,n+1}; exact, pi-degree -2."""
-    _require_stable(g, n)
-    _require_stable(g, n + 1)
     q = (2 * g - 2 + n) * volume_rat(g, n, cache) / volume_rat(g, n + 1, cache)
     return PiScalar(q, -2)
 
@@ -181,11 +173,8 @@ def ratio_R(g: int, n: int, cache: BracketCache | None = None) -> Rat:
     """V_{g,n}^2 / (V_{g,n-1} V_{g,n+1}); the pi-degrees cancel exactly."""
     if n < 1:
         raise ValueError("ratio_R needs n >= 1 (V_{g,n-1} must exist)")
-    _require_stable(g, n - 1)
-    _require_stable(g, n)
-    _require_stable(g, n + 1)
-    num = volume_rat(g, n, cache) ** 2
-    return num / (volume_rat(g, n - 1, cache) * volume_rat(g, n + 1, cache))
+    lower = volume_rat(g, n - 1, cache)  # the first of the three to be unstable
+    return volume_rat(g, n, cache) ** 2 / (lower * volume_rat(g, n + 1, cache))
 
 
 def identity_check(
@@ -196,8 +185,6 @@ def identity_check(
     sum (1/2) sum_{m=1}^{3g-2+n} (-1)^(m-1) b_m c_m(g,n).  Returns
     (equal, residual); the residual is the exact difference.
     """
-    _require_stable(g, n)
-    _require_stable(g, n + 1)
     lhs = mz_ratio(g, n, cache)
     rhs = Rat(0)
     for m in range(1, 3 * g - 2 + n + 1):
@@ -215,7 +202,6 @@ def cor1_bound_check(
     eval(V_{g,n}) divided by (2g-3+n)! (4 pi^2)^(2g-3+n) / sqrt(2g-2+n).
     Finite and positive on every stable signature.
     """
-    _require_stable(g, n)
     chi = 2 * g - 2 + n
     box = eval_numeric(volume(g, n, cache), digits)
     import mpmath

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import subprocess
 import sys
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from wplab.exact import PiScalar, eval_numeric, rat
 from wplab.brackets import (
     BracketCache,
-    BracketKey,
+    _splits,
+    _value_counts,
     bracket,
     c_m,
     cache_load,
     cache_save,
+    canonical_key,
+    pideg_of_key,
 )
 from wplab.lab import LabConfig, cache_warm
 from wplab.volumes import volume
@@ -272,6 +277,26 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
         with pytest.raises(ValueError, match=r"over_full\.txt: line 3: exponent sum 5"):
             cache_load(over_full, BracketCache())
 
+    # a zero denominator names its file and line, not a ZeroDivisionError
+    zero_den = tmp_path / "zero_den.txt"
+    zero_den.write_text("wpbracket v1\n0|0:4|1/0*pi^2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"zero_den\.txt: line 2: zero denominator"):
+        cache_load(zero_den, BracketCache())
+
+    # a negative genus fails the signature rule even where 2g-2+n > 0
+    negative = tmp_path / "negative.txt"
+    negative.write_text("wpbracket v1\n-1|0:7|1/1*pi^2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"negative\.txt: line 2: unstable signature"):
+        cache_load(negative, BracketCache())
+
+    # surrounding whitespace and a trailing CR are stripped; a zero value
+    # keeps any pi-degree
+    loose = tmp_path / "loose.txt"
+    loose.write_text("wpbracket v1\n0|0:4| 4/2*pi^2 \r\n0|1:1,0:3|0/5*pi^7\n", encoding="utf-8")
+    out = BracketCache()
+    assert cache_load(loose, out) == 2
+    assert out.entries == {(0, 4, ()): 2, (0, 4, (1,)): 0}
+
     # a key repeated within one file, with another value or the same one
     for value in ("3/1*pi^2", "2/1*pi^2"):
         repeated = tmp_path / "repeated.txt"
@@ -296,9 +321,30 @@ def test_closed_volume_leaves_out_v_g1() -> None:
 
 
 def test_bracket_key_canonicalization() -> None:
-    k1 = BracketKey(1, (0, 2, 1, 0))
-    k2 = BracketKey(1, (2, 1, 0, 0))
-    assert k1 == k2
-    assert k1.n == 4
-    assert k1.counts() == [(2, 1), (1, 1), (0, 2)]
-    assert k1.pideg == 2 * (3 - 3 + 4 - 3)
+    key = canonical_key(1, (0, 2, 1, 0))
+    assert key == canonical_key(1, (2, 1, 0, 0))
+    assert key[1] == 4
+    assert _value_counts(key) == [(2, 1), (1, 1), (0, 2)]
+    assert pideg_of_key(key) == 2 * (3 - 3 + 4 - 3)
+
+
+def test_splits_visit_each_unordered_split_once() -> None:
+    rng = random.Random(11)
+    for _ in range(40):
+        values = sorted(rng.sample(range(6), rng.randint(1, 4)), reverse=True)
+        counts = [rng.randint(1, 4) for _ in values]
+        items = list(zip(values, counts))
+        seen = set()
+        total = 0
+        for left, n_left, right, n_right, weight, diagonal in _splits(items):
+            t = tuple(left.count(v) if v else n_left - len(left) for v in values)
+            rest = tuple(c - ti for c, ti in zip(counts, t))
+            assert tuple(right.count(v) if v else n_right - len(right) for v in values) == rest
+            assert diagonal == (t == rest)
+            assert weight == math.prod(map(math.comb, counts, t))
+            assert min(t, rest) not in seen, (items, t)
+            seen.add(min(t, rest))
+            total += weight * (1 if diagonal else 2)
+        every = itertools.product(*(range(c + 1) for c in counts))
+        assert seen == {min(t, tuple(c - ti for c, ti in zip(counts, t))) for t in every}
+        assert total == 2 ** sum(counts)

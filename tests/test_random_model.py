@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wplab.brackets import bracket, stable
 from wplab.exact import PiPoly, PiScalar, eval_numeric, factorial, rat
 from wplab.random_model import (
     ARCSINH1,
@@ -228,5 +229,21 @@ def test_two_curve_expectation() -> None:
         / 24.0
     )
     assert res0.value / float(C) ** 4 == pytest.approx(lead, rel=1e-4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unstable"):
         two_curve_expectation_bound(0, 4, Fraction(1, 20))
+
+
+def test_unstable_signatures_rejected() -> None:
+    # a negative genus is unstable even where 2g-2+n > 0
+    assert stable(-1, 5) is False
+    L = CutoffLength.rational(1)
+    calls = [
+        lambda: box_count_integral(0, 2, 1, L),
+        lambda: box_count_integral(-1, 7, 1, L),
+        lambda: expected_pants_count(-1, 6, 1, L),
+        lambda: volume_poly(-1, 7),
+        lambda: bracket(-1, (0,) * 5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unstable"):
+            call()
