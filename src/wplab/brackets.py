@@ -9,31 +9,33 @@ rational part; the pi-power is implied by the key.  Keys are canonical
 multisets (g, n, nonzero entries sorted descending).
 
 The table is built one slice vector at a time:
-T[(g, n, base)][k] = q(g, n, base + {k}) for k = 0..D, D = 3g-3+n-|base|.
+slice(g, n, base)[k] = q(g, n, base + {k}) for k = 0..D, D = 3g-3+n-|base|.
 Mirzakhani's recursion holds with any boundary as the distinguished one,
 and the kernel takes the inserted point k.  Then every child is the same
-for all D+1 entries, and only the shift of a_L depends on k:
+for all D+1 entries, and only the shift of a_L depends on k.  Every term
+lands in one accumulator T[t], t = 0..D, and entry k is
+sum_{t >= k} T[t] a_{t-k}:
 
 * merge: for each remaining entry v (c of them), the slice x of the
-  other entries on (g, n-1) gives 8c(2v+1) sum_L a_L x[k+v-1+L];
+  other entries on (g, n-1) gives 8c(2v+1) sum_L a_L x[k+v-1+L], so
+  8c(2v+1) x[t+v-1] lands at each t = k+L >= max(0, 1-v);
 * pair creation: two new entries {k1, k2} on genus g-1, read from the
   slices (g-1, n+1, base + {k1}), each unordered pair visited once;
 * splits: the remaining entries shared between two stable pieces whose
   genera sum to g, each unordered split {(left, g_left), (right, g_right)}
   visited once, with one convolution x * y of the pieces' slices.
 
-Pair creation and splits only depend on j = k1 + k2 <= D-2, so they
-accumulate once into S[j], and entry k is merge_k + sum_j S[j] a_{j-k+2}.
-Remaining entries are grouped by value, and splits are enumerated as
-sub-multisets with binomial weights, which keeps the cost polynomial for
-the zero-heavy inputs that dominate volume computations.  Slice vectors
-and the a_L table are integer numerators over one common denominator
-each; every term of a slice is summed as integers per denominator, the
-denominators are folded into one before the per-entry loop, and each
-entry builds one rational.  The BracketCache keeps the slices beside the
-table they are read from.  An entry already in the table wins over the
-value a slice recomputes, and a slice whose entries are all in the table
-is read, not computed.
+Pair creation and splits only depend on j = k1 + k2 <= D-2, and land at
+t = j + 2.  Remaining entries are grouped by value, and splits are
+enumerated as sub-multisets with binomial weights, which keeps the cost
+polynomial for the zero-heavy inputs that dominate volume computations.
+Slice vectors and the a_L table are integer numerators over one common
+denominator each; T holds one integer vector per denominator, the
+vectors are folded over one denominator before the per-entry loop, and
+each entry is one dot product with a and one rational.  The BracketCache
+keeps the slices beside the table they are read from.  An entry already
+in the table wins over the value a slice recomputes, and a slice whose
+entries are all in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
 exponent lists against it.  `_cached_q` is the one entry into the
@@ -182,14 +184,13 @@ def _slice_values(
         return [Rat(1, 12), Rat(1, 2)]
     items = _value_counts((g, n - 1, base))
     a, a_den = _a_table(top)
-    # integer vectors keyed by denominator d: merge[d][k] is entry k's merge
-    # term over a_den * d, S[d][j] the pair-creation and split terms with
-    # k1 + k2 = j over d
-    merge: Dict[int, List[int]] = {}
-    S: Dict[int, List[int]] = {}
+    # one integer vector per denominator d: T[d][t] over d, and entry k is
+    # sum_{t >= k} T[t] a_{t-k}
+    T: Dict[int, List[int]] = {}
 
     # merge k with one remaining entry of value v (c of them):
-    # sum_L a_L x[k + v - 1 + L] over the slice x of the other entries
+    # sum_L a_L x[k + v - 1 + L] over the slice x of the other entries,
+    # so x[t + v - 1] lands at t = k + L >= max(0, 1 - v)
     for v, c in items:
         if v:
             sub = list(base)
@@ -199,26 +200,26 @@ def _slice_values(
             rest = base
         x, x_den = _slice(g, n - 1, rest, memo, slices)
         w = 8 * c * (2 * v + 1)
-        acc = merge.setdefault(x_den, [0] * (top + 1))
-        for k in range(top + 1):
-            off = k + v - 1
-            t = sum(map(mul, x[off:], a)) if off >= 0 else sum(map(mul, x, a[1:]))
-            acc[k] += w * t
+        acc = T.setdefault(x_den, [0] * (top + 1))
+        lo = 0 if v else 1
+        for t, xt in enumerate(x[lo + v - 1 :], lo):
+            acc[t] += w * xt
 
-    # create an entry pair {k1, k2} on genus g-1; k1 <= k2, k1 < k2 doubled.
-    # Past the base cases, g >= 1 leaves (g-1, n+1) stable.
+    # create an entry pair {k1, k2} on genus g-1 at t = k1 + k2 + 2;
+    # k1 <= k2, k1 < k2 doubled.  Past the base cases, g >= 1 leaves
+    # (g-1, n+1) stable.
     if g:
         for k1 in range(top // 2):
             y, y_den = _slice(g - 1, n + 1, _insert_sorted(base, k1) if k1 else base, memo, slices)
-            acc = S.setdefault(y_den, [0] * (top - 1))
-            acc[2 * k1] += 16 * y[k1]
+            acc = T.setdefault(y_den, [0] * (top + 1))
+            acc[2 * k1 + 2] += 16 * y[k1]
             for k2 in range(k1 + 1, len(y)):
-                acc[k1 + k2] += 32 * y[k2]
+                acc[k1 + k2 + 2] += 32 * y[k2]
 
     # unordered splits {(left, g_left), (right, g_right)} of the remaining
-    # entries: one convolution of the two pieces' slice vectors x, y each.
-    # The pieces' top dimensions sum to top - 2, and a piece with a
-    # nonnegative top dimension is stable.
+    # entries: one convolution of the two pieces' slice vectors x, y each,
+    # at t = k1 + k2 + 2.  The pieces' top dimensions sum to top - 2, and a
+    # piece with a nonnegative top dimension is stable.
     for base_left, n_left, base_right, n_right, weight, diagonal in _splits(items):
         top_zero = n_left - 2 - sum(base_left)  # the left top at g_left = 0
         for g_left in range(g + 1):
@@ -228,31 +229,23 @@ def _slice_values(
             x, x_den = _slice(g_left, n_left + 1, base_left, memo, slices)
             y, y_den = _slice(g - g_left, n_right + 1, base_right, memo, slices)
             w = (16 if diagonal and 2 * g_left == g else 32) * weight
-            acc = S.setdefault(x_den * y_den, [0] * (top - 1))
-            # len(x) + len(y) = top, so j = k1 + k2 runs over 0..top-2
+            acc = T.setdefault(x_den * y_den, [0] * (top + 1))
+            # len(x) + len(y) = top, so k1 + k2 runs over 0..top-2
             ry = y[::-1]
             last = len(y) - 1
             for j in range(top - 1):
                 lo = j - last if j > last else 0
-                acc[j] += w * sum(map(mul, x[lo : j + 1], ry[last - j + lo :]))
+                acc[j + 2] += w * sum(map(mul, x[lo : j + 1], ry[last - j + lo :]))
 
-    # one denominator for every term; entry k is
-    # merge_k + sum_j S[j] a_{j-k+2}
-    den = lcm(*merge, *S)
-    merge_num = _fold(merge, den, top + 1)
-    S_num = _fold(S, den, top - 1)
+    # one denominator for every term, then a_L applied once per entry
+    den = lcm(*T)
+    T_num = _fold(T, den)
     den *= a_den
-    out = []
-    for k in range(top + 1):
-        t = sum(map(mul, S_num[k - 2 :], a)) if k >= 2 else sum(map(mul, S_num, a[2 - k :]))
-        out.append(Rat(merge_num[k] + t, den))
-    return out
+    return [Rat(sum(map(mul, T_num[k:], a)), den) for k in range(top + 1)]
 
 
-def _fold(parts: Dict[int, List[int]], den: int, size: int) -> List[int]:
+def _fold(parts: Dict[int, List[int]], den: int) -> List[int]:
     """Sum integer vectors keyed by denominator over the common `den`."""
-    if not parts:
-        return [0] * size
     scales = [den // d for d in parts]
     return [sum(map(mul, col, scales)) for col in zip(*parts.values())]
 
@@ -466,8 +459,7 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:
                     raise ValueError(f"duplicate key {g_s}|{counts_s}, first at line {first}")
-                if not stable(g, n):
-                    raise ValueError("unstable signature")
+                _require_stable(g, n)
                 expected = pideg_of_key(key)
                 if expected < 0:
                     raise ValueError(

@@ -12,13 +12,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .exact import ComparisonError
 from .lab import (
     BUDGET_HARD_WARNING,
     EXPERIMENT_DOCS,
     EXPERIMENTS,
     HARD_CHECK_EXPERIMENTS,
-    InternalCheckError,
     load_config_file,
     render_input,
     resolve_config,
@@ -140,7 +138,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"wplab: budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_EXIT
-    except (InternalCheckError, ComparisonError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"wplab: internal check failure: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     except ValueError as exc:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import os
 import re
 import threading
-from math import comb
-from typing import Dict, List, Union
+from functools import lru_cache
+from math import comb, factorial
+from typing import Dict, Union
 
 from mpmath import iv, mp
 
@@ -71,42 +72,23 @@ def rat(num: int, den: int = 1) -> Rat:
     return Rat(num, den)
 
 
-_fact_cache: List[int] = [1]
-
-
-def factorial(n: int) -> int:
-    """n! with a grow-on-demand cache (n >= 0)."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    while len(_fact_cache) <= n:
-        _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
-    return _fact_cache[n]
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the recursion coefficients
 # ---------------------------------------------------------------------------
 
-_bern_lock = threading.Lock()
-_bern: List[Rat] = [Rat(1)]
 
-
+@lru_cache(maxsize=None)
 def bernoulli(m: int) -> Rat:
     """
     m-th Bernoulli number, convention B_1 = -1/2, via the recurrence
-    sum_{j=0}^{m} C(m+1, j) B_j = 0.
+    sum_{j=0}^{m} C(m+1, j) B_j = 0.  The terms are asked for in
+    ascending j, so a cold call recurses one level deep.
     """
     if m < 0:
         raise ValueError("bernoulli index must be >= 0")
-    if m >= len(_bern):
-        with _bern_lock:
-            while len(_bern) <= m:
-                k = len(_bern)
-                s = Rat(0)
-                for j in range(k):
-                    s += comb(k + 1, j) * _bern[j]
-                _bern.append(-s / (k + 1))
-    return _bern[m]
+    if m == 0:
+        return Rat(1)
+    return -sum(comb(m + 1, j) * bernoulli(j) for j in range(m)) / (m + 1)
 
 
 def _zeta_even_rat(i: int) -> Rat:
@@ -122,18 +104,12 @@ def zeta_even(i: int) -> "PiScalar":
     return PiScalar(_zeta_even_rat(i), 2 * i)
 
 
-_ahat_lock = threading.Lock()
-_ahat: List[Rat] = [Rat(1, 2)]
-
-
+@lru_cache(maxsize=None)
 def _coeff_a_rat(i: int) -> Rat:
     """Rational part of a_i (a_i = _coeff_a_rat(i) * pi^(2i); a_0 = 1/2)."""
-    if i >= len(_ahat):
-        with _ahat_lock:
-            while len(_ahat) <= i:
-                k = len(_ahat)
-                _ahat.append(_zeta_even_rat(k) * (1 - Rat(1, 2 ** (2 * k - 1))))
-    return _ahat[i]
+    if i == 0:
+        return Rat(1, 2)
+    return _zeta_even_rat(i) * (1 - Rat(1, 2 ** (2 * i - 1)))
 
 
 def coeff_a(i: int) -> "PiScalar":

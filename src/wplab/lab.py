@@ -67,7 +67,6 @@ from .volumes import (
 __all__ = [
     "LabConfig",
     "ExperimentRow",
-    "InternalCheckError",
     "EXPERIMENTS",
     "EXPERIMENT_DOCS",
     "HARD_CHECK_EXPERIMENTS",
@@ -92,10 +91,6 @@ CSV_COLUMNS = (
 )
 
 BUDGET_HARD_WARNING = 22
-
-
-class InternalCheckError(RuntimeError):
-    """An exactness check the engine guarantees has failed."""
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import mpmath
 
 from .exact import NumInterval, PiPoly, Rat, eval_numeric, factorial, rat
-from .brackets import BracketCache, stable
+from .brackets import BracketCache, _require_stable, stable
 from .topology import enumerate_splits, pairing_multiplicity
-from .volumes import _coeff_table, volume, volume_rat
+from .volumes import _coeff_table, ratio_R, volume
 
 __all__ = [
     "ARCSINH1",
@@ -187,8 +187,7 @@ def expected_pants_count(
         warnings.append("float-cutoff")
     if k < 1 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
-    if not stable(g, n) or not stable(g, n - k):
-        raise ValueError(f"unstable signature ({g},{n}) or ({g},{n - k})")
+    _require_stable(g, n - k)
     _ensure_budget(g, n, budget)
 
     mult = pairing_multiplicity(n, k)
@@ -284,10 +283,7 @@ def second_moment_bound(
     v1 = float(e1.numeric.mid())
     v2 = float(e2.numeric.mid())
     bound = v1 * v1 / (v1 + v2) if v1 + v2 > 0 else 0.0
-    target = (
-        volume_rat(g, n - 1, cache) ** 2
-        / (volume_rat(g, n, cache) * volume_rat(g, n - 2, cache))
-    )
+    target = ratio_R(g, n - 1, cache)
     warnings = sorted(set(e1.warnings) | set(e2.warnings))
     return SecondMomentResult(e1, e2, sm, bound, target, abs(float(target) - bound), warnings)
 

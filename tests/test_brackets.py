@@ -286,7 +286,7 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
     # a negative genus fails the signature rule even where 2g-2+n > 0
     negative = tmp_path / "negative.txt"
     negative.write_text("wpbracket v1\n-1|0:7|1/1*pi^2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"negative\.txt: line 2: unstable signature"):
+    with pytest.raises(ValueError, match=r"negative\.txt: line 2: unstable signature \(-1,7\)"):
         cache_load(negative, BracketCache())
 
     # surrounding whitespace and a trailing CR are stripped; a zero value

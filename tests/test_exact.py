@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wplab import recorded
+from reference_recursion import _a_rat, _bern
 from wplab.exact import (
     PiPoly,
     PiScalar,
@@ -33,6 +37,33 @@ def test_bernoulli_recurrence_values() -> None:
     assert bernoulli(10) == rat(5, 66)
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_coefficients_from_a_cold_start() -> None:
+    # a fresh interpreter asks for B_120 first, under a recursion limit
+    # far below 120, then for a_0..a_40 from the memoized B_{2i}
+    code = (
+        "import sys\n"
+        "from wplab.exact import _coeff_a_rat, bernoulli\n"
+        "sys.setrecursionlimit(60)\n"
+        "bernoulli(120)\n"
+        "print(*(bernoulli(m) for m in range(121)))\n"
+        "print(*(_coeff_a_rat(i) for i in range(41)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    bern_line, a_line = proc.stdout.splitlines()
+    B = [Fraction(x) for x in bern_line.split()]
+    a = [Fraction(x) for x in a_line.split()]
+    assert B[1] == Fraction(-1, 2)
+    assert all(B[m] == 0 for m in range(3, 121, 2))
+    # von Staudt-Clausen: den B_2k = prod of the primes p with (p-1) | 2k
+    primes = [p for p in range(2, 122) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for m in range(2, 121, 2):
+        assert B[m].denominator == math.prod(p for p in primes if m % (p - 1) == 0), m
+    for m in (0, 1, 2, 13, 36, 77, 120):
+        assert B[m] == _bern(m), m
+    assert a == [_a_rat(i) for i in range(41)]
 
 
 def test_zeta_even_values() -> None:
