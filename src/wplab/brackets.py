@@ -33,7 +33,9 @@ Slice vectors and the a_L table are integer numerators over one common
 denominator each; T holds one integer vector per denominator, the
 vectors are folded over one denominator before the per-entry loop, and
 each entry is one dot product with a and one rational.  The BracketCache
-keeps the slices beside the table they are read from.  An entry already
+keeps the slices beside the table they are read from, and beside them the
+certified float of each volume the read path has evaluated (`floats`,
+filled by `volumes.volume_float`).  An entry already
 in the table wins over the value a slice recomputes, and a slice whose
 entries are all in the table is read, not computed.
 
@@ -115,11 +117,16 @@ class BracketCache:
     Append-only table Key -> rational part.  Insertion is idempotent
     (the recursion is pure, so duplicate computation is bit-identical).
     `slices` holds the kernel's slice vectors, built from `entries` only.
+    `floats` maps (g, n, digits) to the certified float of V_{g,n} at
+    that many digits.  A table entry never changes once inserted (`insert`
+    raises on a collision), so a float stays valid until `clear()`, which
+    drops all three.
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
         self.slices: Dict[Key, Slice] = {}
+        self.floats: Dict[Tuple[int, int, int], float] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -133,6 +140,7 @@ class BracketCache:
     def clear(self) -> None:
         self.entries.clear()
         self.slices.clear()
+        self.floats.clear()
 
 
 _default_cache = BracketCache()
@@ -384,24 +392,38 @@ def _value_counts(key: Key) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _decode_counts(text: str) -> Tuple[int, Tuple[int, ...]]:
+def _decode_piece(piece: str) -> Tuple[int, int, Tuple[int, ...]]:
+    """One `v:c` pair as (v, c, the run of c nonzero v's)."""
+    v_s, _, c_s = piece.partition(":")
+    v, c = int(v_s), int(c_s)
+    if c <= 0 or v < 0:
+        raise ValueError(f"bad multiset pair {piece!r}")
+    return v, c, (v,) * c if v else ()
+
+
+def _decode_counts(
+    text: str, pieces: Dict[str, Tuple[int, int, Tuple[int, ...]]]
+) -> Tuple[int, Tuple[int, ...]]:
+    """
+    (n, nonzero entries) of a `v:c,...` list; `pieces` memoizes the
+    pieces that decoded, so each distinct one is parsed once per load.
+    """
     if not text:
         return 0, ()
     n = 0
-    nz: List[int] = []
+    dnz: Tuple[int, ...] = ()
     prev = None
     for piece in text.split(","):
-        v_s, _, c_s = piece.partition(":")
-        v, c = int(v_s), int(c_s)
-        if c <= 0 or v < 0:
-            raise ValueError(f"bad multiset pair {piece!r}")
+        decoded = pieces.get(piece)
+        if decoded is None:
+            decoded = pieces[piece] = _decode_piece(piece)
+        v, c, run = decoded
         if prev is not None and v >= prev:
             raise ValueError("multiset pairs must be strictly descending")
         prev = v
         n += c
-        if v:
-            nz.extend([v] * c)
-    return n, tuple(nz)
+        dnz += run
+    return n, dnz
 
 
 def cache_save(path, cache: BracketCache | None = None) -> int:
@@ -433,10 +455,12 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     """
     Load entries, verifying the version header, that each key's exponents
     sum to at most 3g-3+n, that no key repeats, and per-line homogeneity.
-    Malformed input reports its line number.  Returns entries read.
+    Each distinct `v:c` piece is decoded once per call.  Malformed input
+    reports its line number.  Returns entries read.
     """
     cache = _default_cache if cache is None else cache
     first_line: Dict[Key, int] = {}
+    pieces: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CACHE_VERSION:
@@ -448,7 +472,7 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
             try:
                 g_s, counts_s, value_s = line.split("|")
                 g = int(g_s)
-                n, dnz = _decode_counts(counts_s)
+                n, dnz = _decode_counts(counts_s, pieces)
                 m = _SCALAR_RE.match(value_s.strip())
                 if not m:
                     raise ValueError(f"malformed PiScalar {value_s!r}")

@@ -62,6 +62,7 @@ from .volumes import (
     partitions_upto,
     ratio_R,
     volume,
+    volume_float,
 )
 
 __all__ = [
@@ -165,7 +166,8 @@ def _fmt(x: float) -> str:
 def _signature_grid(cfg: LabConfig, extra_budget: int = 0) -> List[Tuple[int, int]]:
     """
     Stable (g, n) with 3g-3+n + extra_budget <= budget, within bounds.
-    Explicitly requested bounds that cannot fit the budget are an error.
+    Bounds that admit no stable signature are a usage error, and bounds
+    whose every signature is beyond the budget a budget overrun.
     """
     out = []
     gmax = cfg.gmax if cfg.gmax is not None else (cfg.budget + 3) // 3
@@ -176,10 +178,20 @@ def _signature_grid(cfg: LabConfig, extra_budget: int = 0) -> List[Tuple[int, in
         for n in range(cfg.nmin or 0, nmax + 1):
             if stable(g, n):
                 out.append((g, n))
-    if not out and (cfg.gmin is not None or cfg.nmin is not None):
-        g = cfg.gmin or 0
-        n = max(cfg.nmin or 0, 1 if g == 0 else 0)
-        raise BudgetExceeded(g, n + extra_budget, cfg.budget)
+    if not out:
+        # The default gmax drops no signature within the budget, so the
+        # least one within bounds is beyond it.  The least stable n,
+        # max(0, 3-2g), falls by at most 2 per genus while 3g rises by 3,
+        # so the first genus with a stable n in bounds has it.
+        gmin, nmin = cfg.gmin or 0, cfg.nmin or 0
+        for g in range(gmin, max(gmin, 2) + 1):
+            n = max(nmin, 3 - 2 * g)
+            if (cfg.gmax is None or g <= cfg.gmax) and (cfg.nmax is None or n <= cfg.nmax):
+                raise BudgetExceeded(g, n + extra_budget, cfg.budget)
+        # g = max(gmin, 2) admits n = nmin, so only gmax and nmax together get here
+        raise ValueError(
+            f"no stable signature (g,n) with {gmin} <= g <= {cfg.gmax} and {nmin} <= n <= {cfg.nmax}"
+        )
     return out
 
 
@@ -192,7 +204,7 @@ def _exp_volume_table(cfg: LabConfig) -> List[ExperimentRow]:
     def one(sig):
         g, n = sig
         v = volume(g, n)
-        num = float(eval_numeric(v, cfg.digits).mid())
+        num = volume_float(g, n, cfg.digits)
         ratio = cor1_bound_check(g, n, cfg.digits)
         ref = num / ratio if ratio else math.inf
         ok = ratio <= recorded.COR1_RATIO_CAP * (1 + 1e-9)
@@ -646,7 +658,13 @@ def resolve_config(
     if file_values:
         for key, conv in _CONFIG_KEYS.items():
             if key in file_values:
-                values[key] = conv(file_values[key])
+                try:
+                    values[key] = conv(file_values[key])
+                except ValueError:
+                    # str never fails: only an integer key gets here
+                    raise ValueError(
+                        f"config {key}: expected an integer, got {file_values[key]!r}"
+                    ) from None
         unknown = set(file_values) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

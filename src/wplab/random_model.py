@@ -25,7 +25,7 @@ import mpmath
 from .exact import NumInterval, PiPoly, Rat, eval_numeric, factorial, rat
 from .brackets import BracketCache, _require_stable, stable
 from .topology import enumerate_splits, pairing_multiplicity
-from .volumes import _coeff_table, ratio_R, volume
+from .volumes import _coeff_table, ratio_R, volume, volume_float
 
 __all__ = [
     "ARCSINH1",
@@ -200,9 +200,7 @@ def expected_pants_count(
     main = 1.0
     for i in range(2 * k):
         main *= n - i
-    main *= float(eval_numeric(volume(g, n - k, cache), digits).mid()) / float(
-        eval_numeric(vol, digits).mid()
-    )
+    main *= volume_float(g, n - k, digits, cache) / volume_float(g, n, digits, cache)
     main *= (2.0 * math.cosh(Lf / 2.0) - 2.0) ** k
     mid = float(box.mid())
     rel = abs(mid / main - 1.0) if main else math.inf
@@ -387,7 +385,7 @@ def _vol_float(
     g: int, n: int, digits: int, budget: Optional[int], cache: BracketCache | None
 ) -> float:
     _ensure_budget(g, n, budget)
-    return float(eval_numeric(volume(g, n, cache), digits).mid())
+    return volume_float(g, n, digits, cache)
 
 
 @dataclass

@@ -16,12 +16,20 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
-from .brackets import BracketCache, _cached_q, _insert_sorted, _require_stable, c_m
+from .brackets import (
+    BracketCache,
+    _cached_q,
+    _insert_sorted,
+    _require_stable,
+    c_m,
+    default_cache,
+)
 from .topology import SplitPair
 
 __all__ = [
     "VolumePolynomial",
     "volume",
+    "volume_float",
     "volume_rat",
     "volume_poly",
     "volume_at",
@@ -59,6 +67,19 @@ def volume_rat(g: int, n: int, cache: BracketCache | None = None) -> Rat:
 def volume(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
     """Exact Weil-Petersson volume V_{g,n} = [tau_0^n]_{g,n}."""
     return PiScalar(volume_rat(g, n, cache), 2 * (3 * g - 3 + n))
+
+
+def volume_float(g: int, n: int, digits: int, cache: BracketCache | None = None) -> float:
+    """
+    float(eval_numeric(volume(g, n), digits).mid()), evaluated at most once
+    per table: the value is kept in `cache.floats` until `cache.clear()`.
+    """
+    cache = default_cache() if cache is None else cache
+    key = (g, n, digits)
+    x = cache.floats.get(key)
+    if x is None:
+        x = cache.floats[key] = float(eval_numeric(volume(g, n, cache), digits).mid())
+    return x
 
 
 class VolumePolynomial:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -307,6 +308,36 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
             ValueError, match=r"repeated\.txt: line 3: duplicate key 0\|0:4, first at line 2"
         ):
             cache_load(repeated, BracketCache())
+
+
+def test_cache_load_then_save_is_byte_identical(tmp_path) -> None:
+    stats = cache_warm(LabConfig(budget=12, cache_dir=str(tmp_path / "warm")), cache=BracketCache())
+    loaded = BracketCache()
+    assert cache_load(stats.path, loaded) == stats.entries_total
+    again = tmp_path / "again.txt"
+    cache_save(again, loaded)
+    assert again.read_bytes() == (tmp_path / "warm" / "brackets.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ("0:0", "bad multiset pair '0:0'"),
+        ("-1:2", "bad multiset pair '-1:2'"),
+        ("1:x", "invalid literal for int"),
+        ("1:1,1:1", "strictly descending"),
+        ("0:3,1:1", "strictly descending"),
+    ],
+)
+def test_cache_load_checks_every_piece_on_every_line(tmp_path, counts, message) -> None:
+    # the earlier lines decode the valid pieces 1:1 and 0:3 first
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        f"wpbracket v1\n0|0:3|1/1*pi^0\n0|1:1,0:3|1/1*pi^0\n1|{counts}|1/1*pi^2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"bad\.txt: line 4: .*{re.escape(message)}"):
+        cache_load(bad, BracketCache())
 
 
 def test_closed_volume_leaves_out_v_g1() -> None:

@@ -61,6 +61,10 @@ def test_bad_flag_usage_error() -> None:
         (["volume-table", "--budget", "6", "--gmax", "-1"], "gmax must be >= 0, got -1"),
         (["volume-table", "--budget", "6", "--nmin", "-3"], "nmin must be >= 0, got -3"),
         (["volume-table", "--budget", "6", "--nmax", "-2"], "nmax must be >= 0, got -2"),
+        (
+            ["volume-table", "--budget", "1", "--gmin", "1", "--gmax", "1", "--nmax", "0"],
+            "no stable signature (g,n) with 1 <= g <= 1 and 0 <= n <= 0",
+        ),
     ],
 )
 def test_bad_value_one_line_error(args, message) -> None:
@@ -104,6 +108,27 @@ def test_budget_exceeded_exit_code() -> None:
     proc = _wplab(["volume-table", "--budget", "6", "--gmin", "20"])
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["volume-table", "--budget", "2", "--nmin", "0", "--nmax", "0"], "(2,0) needs budget 3 > 2"),
+        (["mz-ratio", "--budget", "2", "--nmin", "0", "--nmax", "0"], "(2,1) needs budget 4 > 2"),
+    ],
+)
+def test_empty_grid_names_least_stable_signature(args, message) -> None:
+    proc = _wplab(args)
+    assert proc.returncode == 2
+    assert proc.stderr == f"wplab: budget exceeded: signature {message}\n"
+
+
+def test_bad_config_value_names_its_key(tmp_path) -> None:
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("budget = x\n", encoding="utf-8")
+    proc = _wplab(["identity", "--config", str(cfg_file)])
+    assert proc.returncode == 1
+    assert proc.stderr == "wplab: error: config budget: expected an integer, got 'x'\n"
 
 
 def test_identity_experiment_and_exit_codes(tmp_path) -> None:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wplab.brackets import bracket, stable
+from wplab import random_model, volumes
+from wplab.brackets import BracketCache, bracket, stable
 from wplab.exact import PiPoly, PiScalar, eval_numeric, factorial, rat
 from wplab.random_model import (
     ARCSINH1,
@@ -24,7 +25,8 @@ from wplab.random_model import (
     two_curve_expectation_bound,
 )
 from wplab.topology import enumerate_splits, pairing_multiplicity
-from wplab.volumes import volume, volume_poly
+from wplab.lab import LabConfig, _signature_grid
+from wplab.volumes import volume, volume_float, volume_poly
 
 
 def test_cutoff_parse_and_render() -> None:
@@ -247,3 +249,48 @@ def test_unstable_signatures_rejected() -> None:
     for call in calls:
         with pytest.raises(ValueError, match="unstable"):
             call()
+
+
+def test_volume_float_is_the_certified_mid() -> None:
+    cache = BracketCache()
+    sigs = [(g, n) for g in range(6) for n in range(16) if stable(g, n) and 3 * g - 3 + n <= 12]
+    for digits in (30, 40):
+        for g, n in sigs:
+            want = float(eval_numeric(volume(g, n, cache), digits).mid())
+            assert volume_float(g, n, digits, cache) == want
+            assert volume_float(g, n, digits, cache) == want  # from the memo
+    assert len(cache.floats) == 2 * len(sigs)
+    cache.clear()
+    assert cache.floats == {}
+
+
+def test_split_sums_evaluate_each_volume_once(monkeypatch) -> None:
+    seen = []
+
+    def counted(x, digits=30):
+        seen.append((x.coeff, x.pideg, digits))
+        return eval_numeric(x, digits)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("split sums evaluate volumes only through volume_float")
+
+    monkeypatch.setattr(volumes, "eval_numeric", counted)
+    monkeypatch.setattr(random_model, "eval_numeric", forbidden)
+    cache = BracketCache()
+    grid = [(g, n) for g, n in _signature_grid(LabConfig(budget=12)) if 2 * g - 2 + n >= 2]
+    for g, n in grid:
+        cheeger_prob_upper(g, n, 0.05, 30, 12, cache)
+        if g >= 1:
+            pvol2_sum(g, n, 0.05, 30, 12, cache)
+    assert len(seen) == len(set(seen)) == len(cache.floats)
+    assert {(g, n) for g, n, _ in cache.floats} >= set(grid)
+
+
+def test_budget_checked_before_the_float_memo() -> None:
+    cache = BracketCache()
+    cheeger_prob_upper(2, 4, 0.05, 30, None, cache)
+    assert (2, 4, 30) in cache.floats and (1, 3, 30) in cache.floats
+    with pytest.raises(BudgetExceeded, match=r"\(2,4\) needs budget 7 > 6"):
+        cheeger_prob_upper(2, 4, 0.05, 30, 6, cache)
+    with pytest.raises(BudgetExceeded, match=r"\(1,3\) needs budget 3 > 2"):
+        random_model._vol_float(1, 3, 30, 2, cache)
