@@ -29,15 +29,36 @@ Pair creation and splits only depend on j = k1 + k2 <= D-2, and land at
 t = j + 2.  Remaining entries are grouped by value, and splits are
 enumerated as sub-multisets with binomial weights, which keeps the cost
 polynomial for the zero-heavy inputs that dominate volume computations.
-Slice vectors and the a_L table are integer numerators over one common
-denominator each; T holds one integer vector per denominator, the
-vectors are folded over one denominator before the per-entry loop, and
-each entry is one dot product with a and one rational.  The BracketCache
-keeps the slices beside the table they are read from, and beside them the
-certified float of each volume the read path has evaluated (`floats`,
-filled by `volumes.volume_float`).  An entry already
-in the table wins over the value a slice recomputes, and a slice whose
-entries are all in the table is read, not computed.
+
+Slices are packed (Kronecker substitution).  Every bracket is a
+nonnegative rational, so a slice is held as its integer numerators x[i]
+over one common denominator, packed into one integer
+X = sum_i x[i] 2^(S i) with byte-aligned S-bit slots, beside its
+denominator, its length and its largest numerator.  Each term is then one
+big-integer operation: a merge adds w (X >> S(v-1)), or w (X << S) for
+v = 0; a pair creation 16 (Z + (Z >> S << S)) << S(2 k1 + 2) with
+Z = Y >> S k1, which is 16 y[k1] and the doubled y[k2 > k1]; a split
+w (X Y) << 2S, whose slot j is the convolution at j.  T holds one packed
+accumulator per denominator d; they are summed over their lcm den, T is
+unpacked once, and each entry is one dot product with a and one rational.
+
+The slot width S is one per BracketCache and comes from proven bounds.
+With nonnegative slots, a slot of a sum is at most the sum of the
+bounds, and a slot of X Y at most min(len x, len y) max x max y.  Each
+slice carries its largest entry; each accumulator adds w max x per
+merge, 32 max y per pair creation and w min(len x, len y) max x max y
+per split, and the sum over den scales each accumulator's bound by den/d.
+A slice is packed, and T unpacked, only when its bound is below 2^S.  A
+bound that is not widens S to its bit length rounded up to whole bytes
+plus `_SLOT_HEADROOM`, re-packs every cached slice and recomputes the
+slice at hand, so no digit of an overflowed slot is ever read.  A
+negative entry cannot be packed: it raises AssertionError naming its key.
+
+The BracketCache keeps the slices beside the table they are read from,
+and beside them the certified midpoint of each volume the read path has
+evaluated (`floats`, filled by `volumes`).  An entry already in the table
+wins over the value a slice recomputes, and a slice whose entries are all
+in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
 exponent lists against it.  `_cached_q` is the one entry into the
@@ -53,6 +74,7 @@ is one dimension higher and enters the table only when asked for.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
@@ -76,8 +98,14 @@ __all__ = [
 CACHE_VERSION = "wpbracket v1"
 
 Key = Tuple[int, int, Tuple[int, ...]]
-# integer numerators over one common denominator
-Slice = Tuple[Tuple[int, ...], int]
+# (packed numerators, their common denominator, length, largest numerator)
+Slice = Tuple[int, int, int, int]
+_EMPTY: Slice = (0, 1, 0, 0)
+
+# the slot width of a fresh table, in bits, and what a widening adds past
+# the bound that forced it
+_FIRST_SLOT = 64
+_SLOT_HEADROOM = 32
 
 
 def stable(g: int, n: int) -> bool:
@@ -116,17 +144,21 @@ class BracketCache:
     """
     Append-only table Key -> rational part.  Insertion is idempotent
     (the recursion is pure, so duplicate computation is bit-identical).
-    `slices` holds the kernel's slice vectors, built from `entries` only.
-    `floats` maps (g, n, digits) to the certified float of V_{g,n} at
-    that many digits.  A table entry never changes once inserted (`insert`
-    raises on a collision), so a float stays valid until `clear()`, which
-    drops all three.
+    `slices` holds the kernel's packed slice vectors, built from `entries`
+    only, in `slot`-bit slots; `bound_bits` is the bit length of the
+    largest bound checked against that width.  `floats` maps
+    (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
+    enclosure of V_{g,n} at that many digits.  A table entry never changes
+    once inserted (`insert` raises on a collision), so a midpoint stays
+    valid until `clear()`, which drops all three and resets the width.
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
         self.slices: Dict[Key, Slice] = {}
-        self.floats: Dict[Tuple[int, int, int], float] = {}
+        self.floats: Dict[Tuple[int, int, int], object] = {}
+        self.slot = _FIRST_SLOT
+        self.bound_bits = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,6 +173,8 @@ class BracketCache:
         self.entries.clear()
         self.slices.clear()
         self.floats.clear()
+        self.slot = _FIRST_SLOT
+        self.bound_bits = 0
 
 
 _default_cache = BracketCache()
@@ -150,38 +184,36 @@ def default_cache() -> BracketCache:
     return _default_cache
 
 
-def _slice(
-    g: int, n: int, base: Tuple[int, ...], memo: Dict[Key, Rat], slices: Dict[Key, Slice]
-) -> Slice:
+def _slice(key: Key, cache: BracketCache) -> Slice:
     """
-    Slice vector q(g, n, base + {k}) for k = 0..3g-3+n-|base|, as integer
-    numerators over their least common denominator; empty past the top
-    dimension.  (g, n) must be stable with n >= 1.  An entry already in
-    `memo` wins over the value `_slice_values` computes for it.
+    Packed slice vector q(g, n, base + {k}) for k = 0..3g-3+n-|base| of
+    key = (g, n, base); empty past the top dimension.  (g, n) must be
+    stable with n >= 1.  An entry already in the table wins over the value
+    `_slice_values` computes for it.
     """
-    key = (g, n, base)
-    sv = slices.get(key)
+    sv = cache.slices.get(key)
     if sv is None:
+        g, n, base = key
         top = 3 * g - 3 + n - sum(base)
         if top < 0:
-            return (), 1
+            return _EMPTY
         keys = [key] + [(g, n, _insert_sorted(base, k)) for k in range(1, top + 1)]
+        memo = cache.entries
         values = [memo.get(k) for k in keys]
         if None in values:
-            fresh = _slice_values(g, n, base, top, memo, slices)
+            fresh = _slice_values(g, n, base, top, cache)
             values = list(map(memo.setdefault, keys, fresh))
-        sv = slices[key] = _over_lcm(values)
+        nums, den = _over_lcm(values)
+        if min(nums) < 0:
+            i = next(i for i, x in enumerate(nums) if x < 0)
+            raise AssertionError(f"negative bracket {values[i]} at {keys[i]} cannot be packed")
+        largest = max(nums)
+        _fits(largest, cache)
+        sv = cache.slices[key] = (_pack(nums, cache.slot), den, top + 1, largest)
     return sv
 
 
-def _slice_values(
-    g: int,
-    n: int,
-    base: Tuple[int, ...],
-    top: int,
-    memo: Dict[Key, Rat],
-    slices: Dict[Key, Slice],
-) -> List[Rat]:
+def _slice_values(g: int, n: int, base: Tuple[int, ...], top: int, cache: BracketCache) -> List[Rat]:
     """
     q(g, n, base + {k}) for k = 0..top in one pass, with the inserted point
     k as the distinguished entry, so every child slice is shared by all k.
@@ -191,86 +223,124 @@ def _slice_values(
     if g == 1 and n == 1:
         return [Rat(1, 12), Rat(1, 2)]
     items = _value_counts((g, n - 1, base))
+    slices = cache.slices
+    while True:
+        S = cache.slot
+        # one packed accumulator T[d] per denominator d, slots t = 0..top,
+        # and a bound on its slots; entry k is sum_{t >= k} T[t] a_{t-k}
+        T: Dict[int, int] = defaultdict(int)
+        bound: Dict[int, int] = defaultdict(int)
+
+        # merge k with one remaining entry of value v (c of them):
+        # sum_L a_L x[k + v - 1 + L] over the slice x of the other entries,
+        # so x[t + v - 1] lands at t = k + L >= max(0, 1 - v)
+        for v, c in items:
+            if v:
+                sub = list(base)
+                sub.remove(v)
+                key = (g, n - 1, tuple(sub))
+            else:
+                key = (g, n - 1, base)
+            X, d, _, x_max = slices.get(key) or _slice(key, cache)
+            w = 8 * c * (2 * v + 1)
+            T[d] += w * (X >> S * (v - 1) if v else X << S)
+            bound[d] += w * x_max
+
+        # create an entry pair {k1, k2} on genus g-1 at t = k1 + k2 + 2;
+        # k1 <= k2, k1 < k2 doubled.  Past the base cases, g >= 1 leaves
+        # (g-1, n+1) stable.
+        if g:
+            for k1 in range(top // 2):
+                key = (g - 1, n + 1, _insert_sorted(base, k1) if k1 else base)
+                Y, d, _, y_max = slices.get(key) or _slice(key, cache)
+                # y[k1] at slot 0, doubled y[k2] above it
+                Z = Y >> S * k1
+                T[d] += 16 * (Z + (Z >> S << S)) << S * (2 * k1 + 2)
+                bound[d] += 32 * y_max
+
+        # unordered splits {(left, g_left), (right, g_right)} of the remaining
+        # entries: one product of the two pieces' packed slices each, at
+        # t = k1 + k2 + 2.  The pieces' top dimensions sum to top - 2, and a
+        # piece with a nonnegative top dimension is stable.
+        for base_left, n_left, base_right, n_right, weight, diagonal in _splits(items):
+            # the left top dimension top_zero + 3 g_left lies in 0..top-2
+            top_zero = n_left - 2 - sum(base_left)
+            lo = -(top_zero // 3) if top_zero < 0 else 0
+            hi = (top - 2 - top_zero) // 3
+            g_hi = g // 2 if diagonal else g
+            for g_left in range(lo, (hi if hi < g_hi else g_hi) + 1):
+                key = (g_left, n_left + 1, base_left)
+                X, x_den, x_len, x_max = slices.get(key) or _slice(key, cache)
+                key = (g - g_left, n_right + 1, base_right)
+                Y, y_den, y_len, y_max = slices.get(key) or _slice(key, cache)
+                w = (16 if diagonal and 2 * g_left == g else 32) * weight
+                d = x_den * y_den
+                # x_len + y_len = top, so k1 + k2 runs over 0..top-2
+                T[d] += w * X * Y << 2 * S
+                bound[d] += w * (x_len if x_len < y_len else y_len) * x_max * y_max
+
+        if cache.slot != S:
+            continue  # a child widened the slots: terms read before it are stale
+        # one denominator for every term
+        den = lcm(*T)
+        acc = acc_bound = 0
+        for d, t in T.items():
+            acc += den // d * t
+            acc_bound += den // d * bound[d]
+        if _fits(acc_bound, cache):
+            break
+    # then a_L applied once per entry
+    T_num = _unpack(acc, top + 1, S)
     a, a_den = _a_table(top)
-    # one integer vector per denominator d: T[d][t] over d, and entry k is
-    # sum_{t >= k} T[t] a_{t-k}
-    T: Dict[int, List[int]] = {}
-
-    # merge k with one remaining entry of value v (c of them):
-    # sum_L a_L x[k + v - 1 + L] over the slice x of the other entries,
-    # so x[t + v - 1] lands at t = k + L >= max(0, 1 - v)
-    for v, c in items:
-        if v:
-            sub = list(base)
-            sub.remove(v)
-            rest = tuple(sub)
-        else:
-            rest = base
-        x, x_den = _slice(g, n - 1, rest, memo, slices)
-        w = 8 * c * (2 * v + 1)
-        acc = T.setdefault(x_den, [0] * (top + 1))
-        lo = 0 if v else 1
-        for t, xt in enumerate(x[lo + v - 1 :], lo):
-            acc[t] += w * xt
-
-    # create an entry pair {k1, k2} on genus g-1 at t = k1 + k2 + 2;
-    # k1 <= k2, k1 < k2 doubled.  Past the base cases, g >= 1 leaves
-    # (g-1, n+1) stable.
-    if g:
-        for k1 in range(top // 2):
-            y, y_den = _slice(g - 1, n + 1, _insert_sorted(base, k1) if k1 else base, memo, slices)
-            acc = T.setdefault(y_den, [0] * (top + 1))
-            acc[2 * k1 + 2] += 16 * y[k1]
-            for k2 in range(k1 + 1, len(y)):
-                acc[k1 + k2 + 2] += 32 * y[k2]
-
-    # unordered splits {(left, g_left), (right, g_right)} of the remaining
-    # entries: one convolution of the two pieces' slice vectors x, y each,
-    # at t = k1 + k2 + 2.  The pieces' top dimensions sum to top - 2, and a
-    # piece with a nonnegative top dimension is stable.
-    for base_left, n_left, base_right, n_right, weight, diagonal in _splits(items):
-        top_zero = n_left - 2 - sum(base_left)  # the left top at g_left = 0
-        for g_left in range(g + 1):
-            top_left = top_zero + 3 * g_left
-            if top_left < 0 or top_left > top - 2 or (diagonal and 2 * g_left > g):
-                continue
-            x, x_den = _slice(g_left, n_left + 1, base_left, memo, slices)
-            y, y_den = _slice(g - g_left, n_right + 1, base_right, memo, slices)
-            w = (16 if diagonal and 2 * g_left == g else 32) * weight
-            acc = T.setdefault(x_den * y_den, [0] * (top + 1))
-            # len(x) + len(y) = top, so k1 + k2 runs over 0..top-2
-            ry = y[::-1]
-            last = len(y) - 1
-            for j in range(top - 1):
-                lo = j - last if j > last else 0
-                acc[j + 2] += w * sum(map(mul, x[lo : j + 1], ry[last - j + lo :]))
-
-    # one denominator for every term, then a_L applied once per entry
-    den = lcm(*T)
-    T_num = _fold(T, den)
     den *= a_den
     return [Rat(sum(map(mul, T_num[k:], a)), den) for k in range(top + 1)]
 
 
-def _fold(parts: Dict[int, List[int]], den: int) -> List[int]:
-    """Sum integer vectors keyed by denominator over the common `den`."""
-    scales = [den // d for d in parts]
-    return [sum(map(mul, col, scales)) for col in zip(*parts.values())]
+def _fits(bound: int, cache: BracketCache) -> bool:
+    """
+    Whether a slot bound fits the table's slot width.  When it does not,
+    the width grows to the bound rounded up to whole bytes plus
+    `_SLOT_HEADROOM`, every cached slice is re-packed, and the caller
+    recomputes what it packed at the old width.
+    """
+    bits = bound.bit_length()
+    cache.bound_bits = max(cache.bound_bits, bits)
+    if bits <= cache.slot:
+        return True
+    old, cache.slot = cache.slot, -(-bits // 8) * 8 + _SLOT_HEADROOM
+    for key, (X, den, length, largest) in cache.slices.items():
+        cache.slices[key] = (_pack(_unpack(X, length, old), cache.slot), den, length, largest)
+    return False
 
 
-def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
+def _pack(nums: List[int], S: int) -> int:
+    """Nonnegative integers below 2^S as one integer sum_i nums[i] 2^(S i)."""
+    width = S // 8
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in nums]), "little")
+
+
+def _unpack(X: int, length: int, S: int) -> List[int]:
+    """The `length` S-bit slots of a packed integer; the one reader of the format."""
+    width = S // 8
+    raw = X.to_bytes(length * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, length * width, width)]
+
+
+def _q_closed(g: int, cache: BracketCache) -> Rat:
     """V_{g,0} rational part (g >= 2): alternating sum over (g,1) brackets."""
+    memo = cache.entries
     key = (g, 0, ())
     v = memo.get(key)
     if v is not None:
         return v
     one = (g, 1, ())
     had_one = one in memo
-    x, den = _slice(g, 1, (), memo, slices)
+    X, den, length, _ = _slice(one, cache)
     if not had_one:
         # V_{g,1} lies one dimension past V_{g,0}: keep the table to the
         # keys asked for, the slice stays
         memo.pop(one, None)
+    x = _unpack(X, length, cache.slot)
     total = Rat(0)
     for m in range(1, 3 * g - 2 + 1):
         if x[m]:
@@ -281,12 +351,12 @@ def _q_closed(g: int, memo: Dict[Key, Rat], slices: Dict[Key, Slice]) -> Rat:
 
 
 @lru_cache(maxsize=None)
-def _a_table(m: int) -> Slice:
+def _a_table(m: int) -> Tuple[Tuple[int, ...], int]:
     """a_0..a_m (rational parts) as integer numerators over their lcm."""
     return _over_lcm([_coeff_a_rat(L) for L in range(m + 1)])
 
 
-def _over_lcm(values: List[Rat]) -> Slice:
+def _over_lcm(values: List[Rat]) -> Tuple[Tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
@@ -329,15 +399,15 @@ def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) 
     cache = _default_cache if cache is None else cache
     if not stable(g, n) or sum(dnz) > 3 * g - 3 + n:
         return Rat(0)
-    memo = cache.entries
     if n == 0:
-        return _q_closed(g, memo, cache.slices)
+        return _q_closed(g, cache)
+    memo = cache.entries
     key = (g, n, dnz)
     v = memo.get(key)
     if v is None:
         # the slice that leaves out the largest entry
-        x, den = _slice(g, n, dnz[1:], memo, cache.slices)
-        v = memo.setdefault(key, Rat(x[dnz[0] if dnz else 0], den))
+        X, den, length, _ = _slice((g, n, dnz[1:]), cache)
+        v = memo.setdefault(key, Rat(_unpack(X, length, cache.slot)[dnz[0] if dnz else 0], den))
     return v
 
 
@@ -454,7 +524,8 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
     Load entries, verifying the version header, that each key's exponents
-    sum to at most 3g-3+n, that no key repeats, and per-line homogeneity.
+    sum to at most 3g-3+n, that no key repeats, that no value is negative,
+    and per-line homogeneity.
     Each distinct `v:c` piece is decoded once per call.  Malformed input
     reports its line number.  Returns entries read.
     """
@@ -479,6 +550,9 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 num, den, pideg = map(int, m.groups())
                 if not den:
                     raise ValueError(f"zero denominator in {value_s.strip()!r}")
+                # every bracket is nonnegative, and the kernel packs them
+                if num < 0:
+                    raise ValueError(f"negative value {value_s.strip()!r}")
                 key = (g, n, dnz)
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import mpmath
+
 from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
 from .brackets import (
     BracketCache,
@@ -69,17 +71,24 @@ def volume(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
     return PiScalar(volume_rat(g, n, cache), 2 * (3 * g - 3 + n))
 
 
-def volume_float(g: int, n: int, digits: int, cache: BracketCache | None = None) -> float:
+def _volume_mid(g: int, n: int, digits: int, cache: BracketCache | None) -> mpmath.mpf:
     """
-    float(eval_numeric(volume(g, n), digits).mid()), evaluated at most once
-    per table: the value is kept in `cache.floats` until `cache.clear()`.
+    The exact midpoint of eval_numeric(volume(g, n), digits), evaluated at
+    most once per table: it is kept in `cache.floats` until `cache.clear()`.
     """
     cache = default_cache() if cache is None else cache
     key = (g, n, digits)
-    x = cache.floats.get(key)
-    if x is None:
-        x = cache.floats[key] = float(eval_numeric(volume(g, n, cache), digits).mid())
-    return x
+    mid = cache.floats.get(key)
+    if mid is None:
+        box = eval_numeric(volume(g, n, cache), digits)
+        mid = cache.floats[key] = mpmath.ldexp(mpmath.fadd(box.lo, box.hi, exact=True), -1)
+    return mid
+
+
+def volume_float(g: int, n: int, digits: int, cache: BracketCache | None = None) -> float:
+    """float(eval_numeric(volume(g, n), digits).mid()), from the memoized midpoint."""
+    # unary + rounds to the working precision, as mid() does
+    return float(+_volume_mid(g, n, digits, cache))
 
 
 class VolumePolynomial:
@@ -224,14 +233,12 @@ def cor1_bound_check(
     Finite and positive on every stable signature.
     """
     chi = 2 * g - 2 + n
-    box = eval_numeric(volume(g, n, cache), digits)
-    import mpmath
-
+    mid = _volume_mid(g, n, digits, cache)
     with mpmath.workdps(digits):
         denom = mpmath.mpf(factorial(2 * g - 3 + n)) * (4 * mpmath.pi ** 2) ** (
             2 * g - 3 + n
         )
-        return float(box.mid() * mpmath.sqrt(chi) / denom)
+        return float(+mid * mpmath.sqrt(chi) / denom)
 
 
 def lratio_check(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wplab import brackets
 from wplab.exact import PiScalar, eval_numeric, rat
 from wplab.brackets import (
     BracketCache,
@@ -25,6 +27,7 @@ from wplab.lab import LabConfig, cache_warm
 from wplab.volumes import volume
 
 from reference_recursion import bracket_reference
+from test_golden import BRACKETS_SHA256
 
 
 def test_base_cases() -> None:
@@ -298,6 +301,14 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
     assert cache_load(loose, out) == 2
     assert out.entries == {(0, 4, ()): 2, (0, 4, (1,)): 0}
 
+    # a negative value is rejected; zero (above) is accepted
+    negative_value = tmp_path / "negative_value.txt"
+    negative_value.write_text("wpbracket v1\n0|0:3|1/1*pi^0\n0|0:4|-2/1*pi^2\n", encoding="utf-8")
+    with pytest.raises(
+        ValueError, match=r"negative_value\.txt: line 3: negative value '-2/1\*pi\^2'"
+    ):
+        cache_load(negative_value, BracketCache())
+
     # a key repeated within one file, with another value or the same one
     for value in ("3/1*pi^2", "2/1*pi^2"):
         repeated = tmp_path / "repeated.txt"
@@ -379,3 +390,46 @@ def test_splits_visit_each_unordered_split_once() -> None:
         every = itertools.product(*(range(c + 1) for c in counts))
         assert seen == {min(t, tuple(c - ti for c, ti in zip(counts, t))) for t in every}
         assert total == 2 ** sum(counts)
+
+
+def test_narrow_first_slot_widens_and_repacks(tmp_path, monkeypatch) -> None:
+    # from 8-bit slots the table must widen several times, re-packing the
+    # cached slices and recomputing the slice that overflowed, and still
+    # write the pinned bytes.  Without headroom every width is as tight as
+    # the bounds allow, so a bound that misses a term overflows a slot.
+    monkeypatch.setattr(brackets, "_FIRST_SLOT", 8)
+    monkeypatch.setattr(brackets, "_SLOT_HEADROOM", 0)
+    packs = []
+    pack = brackets._pack
+
+    def counted(nums, S):
+        packs.append(S)
+        return pack(nums, S)
+
+    monkeypatch.setattr(brackets, "_pack", counted)
+    cache = BracketCache()
+    assert cache.slot == 8
+    stats = cache_warm(LabConfig(budget=12, cache_dir=str(tmp_path)), cache=cache)
+    assert cache.slot > 64
+    assert len(packs) > len(cache.slices), "no slice was re-packed"
+    assert hashlib.sha256((tmp_path / "brackets.txt").read_bytes()).hexdigest() == BRACKETS_SHA256
+    assert stats.entries_total == 3321
+
+
+def test_negative_entry_is_never_packed() -> None:
+    # a poisoned table: (0, 4, (1,)) is read by the slice (0, 4, ()), which
+    # V_{0,5} builds
+    cache = BracketCache()
+    cache.insert((0, 4, (1,)), rat(-1))
+    with pytest.raises(AssertionError, match=r"negative bracket -1 at \(0, 4, \(1,\)\)"):
+        volume(0, 5, cache)
+
+
+def test_slot_width_follows_the_tracked_bound() -> None:
+    # the width is the largest bound in whole bytes plus the headroom, not
+    # a fixed wide slot
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=14), cache=cache)
+    assert 0 < cache.bound_bits <= cache.slot
+    assert cache.slot % 8 == 0
+    assert cache.slot <= -(-cache.bound_bits // 8) * 8 + brackets._SLOT_HEADROOM

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from wplab.random_model import (
 )
 from wplab.topology import enumerate_splits, pairing_multiplicity
 from wplab.lab import LabConfig, _signature_grid
-from wplab.volumes import volume, volume_float, volume_poly
+from wplab.volumes import cor1_bound_check, volume, volume_float, volume_poly
 
 
 def test_cutoff_parse_and_render() -> None:
@@ -262,6 +263,28 @@ def test_volume_float_is_the_certified_mid() -> None:
     assert len(cache.floats) == 2 * len(sigs)
     cache.clear()
     assert cache.floats == {}
+
+
+def test_cor1_bound_reads_the_memoized_mid(monkeypatch) -> None:
+    # a volume-table row: volume_float, then cor1_bound_check at the same
+    # digits, evaluates V_{g,n} once and gives the value of a direct mid()
+    seen = []
+
+    def counted(x, digits=30):
+        seen.append(digits)
+        return eval_numeric(x, digits)
+
+    cache = BracketCache()
+    for g, n, digits in [(0, 4, 30), (1, 1, 30), (2, 3, 40), (3, 5, 30), (4, 2, 100)]:
+        chi = 2 * g - 2 + n
+        with mpmath.workdps(digits):
+            denom = mpmath.mpf(factorial(2 * g - 3 + n)) * (4 * mpmath.pi ** 2) ** (chi - 1)
+            want = float(eval_numeric(volume(g, n, cache), digits).mid() * mpmath.sqrt(chi) / denom)
+        monkeypatch.setattr(volumes, "eval_numeric", counted)
+        volume_float(g, n, digits, cache)
+        assert cor1_bound_check(g, n, digits, cache) == want
+        monkeypatch.undo()
+    assert seen == [30, 30, 40, 30, 100]
 
 
 def test_split_sums_evaluate_each_volume_once(monkeypatch) -> None:
