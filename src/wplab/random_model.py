@@ -141,15 +141,30 @@ def box_count_integral(
     Exact integral over [0, L]^k of V_{g,n}(x_1..x_k,0..0) prod x_i dx;
     every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2), so a partition
     contributes coeff * arr(part, k) / (2^(k-len) prod (2v+2)) * (L^2)^(|part|+k).
+    The rational weights are summed per (|part|+k, pi-degree) before any
+    pi-arithmetic.
     """
-    Lsq = L.as_poly() ** 2
-    total = PiPoly.zero()
+    groups: Dict[Tuple[int, int], Rat] = {}
     for part, coeff in _coeff_table(g, n, k, cache).items():
         den = 2 ** (k - len(part))
         for v in part:
             den *= 2 * v + 2
-        scale = PiPoly({coeff.pideg: coeff.coeff * Rat(_arrangements(part, k), den)})
-        total = total + scale * Lsq ** (sum(part) + k)
+        q = coeff.coeff
+        key = (sum(part) + k, coeff.pideg)
+        w = Rat(q.numerator * _arrangements(part, k), q.denominator * den)
+        groups[key] = groups.get(key, 0) + w
+    return _power_sum(groups, L.as_poly() ** 2)
+
+
+def _power_sum(groups: Dict[Tuple[int, int], Rat], base: PiPoly) -> PiPoly:
+    """Sum of w * pi^pideg * base^m over {(m, pideg): w}, by one running power of base."""
+    total = PiPoly.zero()
+    power, at = PiPoly.constant(1), 0
+    for (m, pideg), w in sorted(groups.items()):
+        for _ in range(m - at):
+            power = power * base
+        at = m
+        total = total + PiPoly({pideg: w}) * power
     return total
 
 
@@ -416,12 +431,14 @@ def two_curve_expectation_bound(
     _ensure_budget(g, n, budget)
     _ensure_budget(g - 1, n + 1, budget)
     T = PiPoly({1: rat(2 * CF.numerator, CF.denominator)})  # 2 pi C
-    total = PiPoly.zero()
+    groups: Dict[Tuple[int, int], Rat] = {}
     for part, coeff in _coeff_table(g - 1, n + 1, 2, cache).items():
         exps = list(part) + [0] * (2 - len(part))
         a, b = 2 * exps[0] + 1, 2 * exps[1] + 1
-        base = simplex_monomial_integral((a, b)) * _arrangements(part, 2)
-        total = total + coeff.to_poly() * PiPoly.constant(base) * T ** (a + b + 2)
+        key = (a + b + 2, coeff.pideg)
+        w = coeff.coeff * simplex_monomial_integral((a, b)) * _arrangements(part, 2)
+        groups[key] = groups.get(key, 0) + w
+    total = _power_sum(groups, T)
     vol = volume(g, n, cache)
     total = total * (1 / vol).to_poly()
     value = float(eval_numeric(total, digits).mid())

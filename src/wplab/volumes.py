@@ -13,6 +13,7 @@ in the undoubled boundary variables.  The constant term is V_{g,n}.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
@@ -113,39 +114,50 @@ class VolumePolynomial:
         """
         Exact evaluation at a list of n exact values (PiPoly-convertible).
 
-        One dynamic program over the variables.  A state is the descending
-        tuple of nonzero exponents assigned so far; its value sums
-        prod x_i^(2 e_i) over the assignments that reach it, starting from
-        {(): 1}.  A nonzero length x takes state s to s (exponent 0) and to
-        s + {e} for 1 <= e <= D - |s|, D = 3g-3+n, with the powers
-        (x^2)^e built once per length; a zero length keeps every state and
-        is skipped.  The value is sum_s coeffs[s] * dp[s].
+        One dynamic program over the variables, on integers.  Each squared
+        nonzero length is written as integer numerators per pi-degree over
+        one shared denominator lam, the lcm of the squares' denominators.
+        A state is the descending tuple of nonzero exponents assigned so
+        far; its value sums prod x_i^(2 e_i) over the assignments that
+        reach it, and every such product has denominator lam^|s|, so
+        dp[s] holds numerators over lam^|s|, starting from {(): 1}.  A
+        nonzero length takes s to s (exponent 0) and to s + {e} for
+        1 <= e <= D - |s|, D = 3g-3+n, with the numerator powers built once
+        per length; a zero length keeps every state and is skipped.  The
+        value sum_s coeffs[s] * dp[s] / lam^|s| is put over
+        lcm(coefficient denominators) * lam^D, one Rat per pi-degree.
         """
         if len(lengths) != self.n:
             raise ValueError(f"expected {self.n} lengths, got {len(lengths)}")
         top = 3 * self.g - 3 + self.n
-        dp: Dict[Tuple[int, ...], PiPoly] = {(): PiPoly.constant(1)}
-        for x in map(_to_poly, lengths):
-            if not x:
-                continue
-            x2 = x * x
-            powers = [PiPoly.constant(1)]
+        squares = [x * x for x in map(_to_poly, lengths) if x]
+        lam = lcm(*(q.denominator for sq in squares for q in sq.terms.values()))
+        dp: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+        for sq in squares:
+            x2 = {k: q.numerator * (lam // q.denominator) for k, q in sq.terms.items()}
+            powers = [{0: 1}]
             for _ in range(top):
-                powers.append(powers[-1] * x2)
+                powers.append(_int_mul(powers[-1], x2))
             nxt = dict(dp)
             for state, acc in dp.items():
                 for e in range(1, top - sum(state) + 1):
                     key = _insert_sorted(state, e)
-                    term = acc * powers[e]
+                    term = _int_mul(acc, powers[e])
                     prev = nxt.get(key)
-                    nxt[key] = term if prev is None else prev + term
+                    nxt[key] = term if prev is None else _int_add(prev, term)
             dp = nxt
-        total = PiPoly.zero()
+        coeffs = self.coeffs
+        cden = lcm(*(coeffs[s].coeff.denominator for s in dp if s in coeffs))
+        total: Dict[int, int] = {}
         for state, acc in dp.items():
-            coeff = self.coeffs.get(state)
-            if coeff is not None:
-                total = total + coeff.to_poly() * acc
-        return total
+            c = coeffs.get(state)
+            if c is None:
+                continue
+            w = c.coeff.numerator * (cden // c.coeff.denominator) * lam ** (top - sum(state))
+            for k, v in acc.items():
+                total[c.pideg + k] = total.get(c.pideg + k, 0) + w * v
+        den = cden * lam ** top
+        return PiPoly({k: Rat(v, den) for k, v in total.items() if v})
 
     def __repr__(self):
         return f"VolumePolynomial(g={self.g}, n={self.n}, terms={len(self.coeffs)})"
@@ -157,6 +169,24 @@ def _to_poly(x) -> PiPoly:
     if isinstance(x, PiScalar):
         return x.to_poly()
     return PiPoly.constant(Rat(x))
+
+
+def _int_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """Product of two pideg -> integer numerator tables."""
+    out: Dict[int, int] = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + v1 * v2
+    return out
+
+
+def _int_add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """Sum of two pideg -> integer numerator tables, as a new table."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return out
 
 
 def _coeff_table(
@@ -177,7 +207,7 @@ def _coeff_table(
         den = 4 ** s
         for v in part:
             den *= factorial(2 * v + 1)
-        coeffs[part] = PiScalar(q / Rat(den), 2 * (budget - s))
+        coeffs[part] = PiScalar(Rat(q.numerator, q.denominator * den), 2 * (budget - s))
     return coeffs
 
 

@@ -236,6 +236,27 @@ def test_two_curve_expectation() -> None:
         two_curve_expectation_bound(0, 4, Fraction(1, 20))
 
 
+def test_two_curve_matches_term_by_term() -> None:
+    # (1/V_{g,n}) int_{x+y <= T} V_{g-1,n+1}(x,y,0..0) x y dx dy, T = 2 pi C,
+    # summed over every ordered exponent pair (d1, d2): x^a y^b integrates
+    # over the triangle to a! b! / (a+b+2)! * T^(a+b+2)
+    for g, n in [(1, 2), (2, 1), (2, 3)]:
+        poly = volume_poly(g - 1, n + 1)
+        top = 3 * (g - 1) - 3 + (n + 1)
+        inv_vol = (1 / volume(g, n)).to_poly()
+        for C in (Fraction(1, 20), Fraction(3, 7)):
+            T = PiPoly({1: rat(2 * C.numerator, C.denominator)})
+            want = PiPoly.zero()
+            for d1, d2 in itertools.product(range(top + 1), repeat=2):
+                if d1 + d2 > top:
+                    continue
+                a, b = 2 * d1 + 1, 2 * d2 + 1
+                base = rat(factorial(a) * factorial(b), factorial(a + b + 2))
+                want = want + poly.coefficient((d1, d2)).to_poly() * base * T ** (a + b + 2)
+            got = two_curve_expectation_bound(g, n, C).exact
+            assert got == want * inv_vol, (g, n, C)
+
+
 def test_unstable_signatures_rejected() -> None:
     # a negative genus is unstable even where 2g-2+n > 0
     assert stable(-1, 5) is False

@@ -55,6 +55,11 @@ def test_volume_at_examples() -> None:
     two_pi = PiPoly({1: rat(2)})
     assert volume_at(0, 4, [two_pi, 0, 0, 0]) == PiPoly({2: rat(4)})
     assert volume_at(1, 1, [1]) == PiPoly({2: rat(1, 12), 0: rat(1, 48)})
+    # V_{0,4} = 2 pi^2 + sum x_i^2 / 2: the pi^1 numerators of (1 + pi)^2 and
+    # (1 - pi)^2 cancel, and the cancelled degree is not stored
+    got = volume_at(0, 4, [PiPoly({0: 1, 1: 1}), PiPoly({0: 1, 1: -1}), 0, 0])
+    assert got == PiPoly({0: 1, 2: 3})
+    assert sorted(got.terms) == [0, 2]
     with pytest.raises(ValueError):
         volume_at(1, 1, [1, 2])
 
@@ -68,9 +73,11 @@ def test_volume_at_matches_direct_expansion() -> None:
 
     # brute force over every ordered exponent vector d with |d| <= 3g-3+n:
     # sum coefficient(sorted d) * prod x_i^(2 d_i), at lengths that mix a
-    # zero, an int, a rational, a multiple of pi, a two-term value and a
-    # repeated length; (value passed, same value as a PiPoly)
+    # zero, an int, a rational, a multiple of pi, a two-term value, a
+    # repeated length, a negative pi-degree with a negative coefficient and
+    # a large denominator; (value passed, same value as a PiPoly)
     two_term = PiPoly({0: rat(1, 2), 1: rat(1, 3)})
+    negative = PiPoly({-1: rat(5, 2), 2: rat(-1, 4)})
     pool = [
         (0, PiPoly.zero()),
         (3, PiPoly.constant(3)),
@@ -78,6 +85,8 @@ def test_volume_at_matches_direct_expansion() -> None:
         (PiScalar(rat(3, 4), 1), PiPoly({1: rat(3, 4)})),
         (two_term, two_term),
         (two_term, two_term),
+        (negative, negative),
+        (PiPoly.constant(rat(7, 97)), PiPoly.constant(rat(7, 97))),
     ]
     for g, n in [(0, 3), (0, 5), (1, 3), (2, 2), (1, 1)]:
         poly = volume_poly(g, n)
