@@ -8,7 +8,6 @@ numerically on desk-scale grids.
 """
 
 from .exact import (
-    ComparisonError,
     NumInterval,
     PiPoly,
     PiScalar,
@@ -17,10 +16,8 @@ from .exact import (
     bernoulli,
     coeff_a,
     coeff_b,
-    compare,
     eval_numeric,
     rat,
-    sign,
     zeta_even,
 )
 from .brackets import (
@@ -43,23 +40,15 @@ from .volumes import (
     volume_poly,
 )
 from .topology import (
-    PantsPairing,
     SplitPair,
-    all_pairings,
     enumerate_splits,
     pairing_multiplicity,
-    split_type_count,
 )
 from .geometry import (
-    CurveData,
-    H_to_h_bounds,
-    c_to_h_threshold,
     collar_halfwidth,
-    curve_H,
     neighbor_curve,
     phi,
     phi_min,
-    rayq_bounds,
     regime_constants,
     sphere_h_upper,
 )
@@ -69,10 +58,8 @@ from .random_model import (
     ExpectationResult,
     cheeger_prob_upper,
     expected_pants_count,
-    factorial_moment,
     length_scale,
     poisson_lambda,
-    poisson_pmf,
     pvol2_sum,
     second_moment_bound,
     two_curve_expectation_bound,

@@ -74,13 +74,14 @@ is one dimension higher and enters the table only when asked for.
 from __future__ import annotations
 
 import os
+import re
 from collections import defaultdict
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import _SCALAR_RE, PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
+from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
 
 __all__ = [
     "BracketCache",
@@ -519,6 +520,9 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
             os.unlink(tmp)
         raise
     return len(keys)
+
+
+_SCALAR_RE = re.compile(r"^(-?\d+)/(\d+)\*pi\^(-?\d+)$")
 
 
 def cache_load(path, cache: BracketCache | None = None) -> int:

@@ -16,7 +16,6 @@ positive denominator, which is all the code relies on.
 from __future__ import annotations
 
 import os
-import re
 import threading
 from functools import lru_cache
 from math import comb, factorial
@@ -31,10 +30,7 @@ __all__ = [
     "PiScalar",
     "PiPoly",
     "NumInterval",
-    "ComparisonError",
     "eval_numeric",
-    "sign",
-    "compare",
     "bernoulli",
     "zeta_even",
     "coeff_a",
@@ -134,9 +130,6 @@ def coeff_b(m: int) -> "PiScalar":
 # PiScalar: a single rational multiple of an integer power of pi
 # ---------------------------------------------------------------------------
 
-_SCALAR_RE = re.compile(r"^(-?\d+)/(\d+)\*pi\^(-?\d+)$")
-
-
 class PiScalar:
     """
     coeff * pi^pideg with coeff rational and pideg in Z (negative allowed).
@@ -173,7 +166,9 @@ class PiScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((str(self.coeff), self.pideg))
+        if self.pideg == 0:
+            return hash(self.coeff)
+        return hash(frozenset({(self.pideg, self.coeff)}))
 
     def __neg__(self) -> "PiScalar":
         return PiScalar(-self.coeff, self.pideg)
@@ -237,14 +232,6 @@ class PiScalar:
         """Bit-exact interchange format, e.g. '7/720*pi^4'."""
         return f"{self.coeff.numerator}/{self.coeff.denominator}*pi^{self.pideg}"
 
-    @staticmethod
-    def parse(text: str) -> "PiScalar":
-        m = _SCALAR_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"malformed PiScalar {text!r}")
-        num, den, k = m.groups()
-        return PiScalar(rat(int(num), int(den)), int(k))
-
     def __repr__(self) -> str:
         return f"PiScalar({self.render()})"
 
@@ -306,7 +293,10 @@ class PiPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k, str(v)) for k, v in self.terms.items())))
+        # equal to the hash of the equal PiScalar, int or Rat
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
+        return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "PiPoly":
         return PiPoly({k: -v for k, v in self.terms.items()})
@@ -371,18 +361,6 @@ class PiPoly:
             parts.append(f"{v.numerator}/{v.denominator}*pi^{k}")
         return "+".join(parts)
 
-    @staticmethod
-    def parse(text: str) -> "PiPoly":
-        out: Dict[int, Rat] = {}
-        for piece in text.strip().split("+"):
-            s = PiScalar.parse(piece)
-            if s.is_zero():
-                continue
-            if s.pideg in out:
-                raise ValueError(f"duplicate pi-degree {s.pideg} in {text!r}")
-            out[s.pideg] = s.coeff
-        return PiPoly(out)
-
     def __repr__(self) -> str:
         return f"PiPoly({self.render()})"
 
@@ -428,12 +406,6 @@ class NumInterval:
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def __float__(self) -> float:
         return float(self.mid())
 
@@ -475,40 +447,3 @@ def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
         finally:
             iv.dps, mp.dps = old_iv, old_mp
 
-
-class ComparisonError(ArithmeticError):
-    """Adaptive-precision separation failed below the hard cap."""
-
-
-_COMPARE_START = 50
-_COMPARE_CAP = 3200
-
-
-def sign(x) -> int:
-    """
-    Sign of an exact value: symbolic when the representation is zero,
-    otherwise by interval separation at 50 digits doubling up to 3200.
-    A nonzero coefficient table never evaluates to 0 (pi transcendental),
-    so failure to separate indicates an accidental-equality bug upstream.
-    """
-    poly = _as_poly(x)
-    if poly is NotImplemented:
-        raise TypeError(f"cannot compare {type(x).__name__}")
-    if poly.is_zero():
-        return 0
-    digits = _COMPARE_START
-    while digits <= _COMPARE_CAP:
-        box = eval_numeric(poly, digits)
-        if box.strictly_positive():
-            return 1
-        if box.strictly_negative():
-            return -1
-        digits *= 2
-    raise ComparisonError(
-        f"could not separate {poly.render()} from 0 within {_COMPARE_CAP} digits"
-    )
-
-
-def compare(x, y) -> int:
-    """-1, 0 or 1; exact equality is decided symbolically."""
-    return sign(_as_poly(x) - _as_poly(y))

@@ -1,7 +1,7 @@
 r"""
 Closed-form hyperbolic-geometry calculus: collar widths, neighboring
-curves, length-over-area ratios, the conversion between the geodesic and
-ordinary Cheeger constants, and the regime threshold constants.
+curves, the collar-sweep objective, the regime threshold constants and
+the Cheeger bound of a punctured sphere.
 
 Everything here is an explicit analytic formula, so plain floats are
 used throughout; the threshold constants are additionally reported to 30
@@ -12,41 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import mpmath
 
 __all__ = [
-    "CurveData",
-    "curve_H",
     "collar_halfwidth",
     "neighbor_curve",
-    "H_to_h_bounds",
     "phi",
     "phi_min",
-    "c_to_h_threshold",
     "RegimeConstants",
     "regime_constants",
     "sphere_h_upper",
-    "rayq_bounds",
 ]
-
-
-@dataclass(frozen=True)
-class CurveData:
-    """A separating multi-curve: total length and smaller-side area."""
-
-    length: float
-    area_small: float
-
-    def __post_init__(self):
-        if self.length <= 0 or self.area_small <= 0:
-            raise ValueError("length and area_small must be positive")
-
-
-def curve_H(c: CurveData) -> float:
-    """Length-over-smaller-area ratio of a separating curve."""
-    return c.length / c.area_small
 
 
 def collar_halfwidth(l: float) -> float:
@@ -60,21 +38,15 @@ def neighbor_curve(l: float, t: float) -> Tuple[float, float, bool]:
     """
     Equidistant curve at distance t from a geodesic of length l: returns
     (length l*cosh t, unsigned area offset l*sinh t, in_collar).  The
-    caller applies the +/- sign to the base area 2*pi; outside the collar
-    half-width the embedding hypothesis fails and in_collar is False.
+    caller adds the offset to or subtracts it from the base area 2*pi;
+    outside the collar half-width the embedding hypothesis fails and
+    in_collar is False.
     """
     if l <= 0:
         raise ValueError("geodesic length must be positive")
     if t < 0:
         raise ValueError("distance must be non-negative")
     return l * math.cosh(t), l * math.sinh(t), t <= collar_halfwidth(l)
-
-
-def H_to_h_bounds(H: float) -> Tuple[float, float]:
-    """Two-sided bounds (H/(1+H), H) on the Cheeger constant."""
-    if H < 0:
-        raise ValueError("H must be non-negative")
-    return H / (1.0 + H), H
 
 
 def phi(H: float, t: float) -> float:
@@ -93,13 +65,6 @@ def phi_min(H: float) -> float:
     return H / math.sqrt(1.0 + H * H)
 
 
-def c_to_h_threshold(C: float) -> float:
-    """C/sqrt(1+C^2); strictly increasing, bounded by 1, inverse of phi_min."""
-    if C < 0:
-        raise ValueError("C must be non-negative")
-    return C / math.sqrt(1.0 + C * C)
-
-
 @dataclass(frozen=True)
 class RegimeConstants:
     """Threshold constants of the probabilistic regimes, to 30 digits."""
@@ -112,17 +77,13 @@ class RegimeConstants:
     spectral_gap_str: str
     cheeger_regime_str: str
     h_threshold_at_zero_str: str
-    eps_threshold: Callable[[float], float]
 
 
-def _eps_threshold(eps: float) -> float:
-    """(log2 - 2 pi eps) / (2 pi (1 - eps) + log2)."""
-    l2 = math.log(2.0)
-    return (l2 - 2.0 * math.pi * eps) / (2.0 * math.pi * (1.0 - eps) + l2)
+_DIGITS = 30
 
 
-def regime_constants(digits: int = 30) -> RegimeConstants:
-    with mpmath.workdps(digits + 10):
+def regime_constants() -> RegimeConstants:
+    with mpmath.workdps(_DIGITS + 10):
         l2 = mpmath.log(2)
         pi = mpmath.pi
         pr = l2 / mpmath.sqrt(4 * pi * (l2 + pi))
@@ -134,11 +95,10 @@ def regime_constants(digits: int = 30) -> RegimeConstants:
             spectral_gap=float(sg),
             cheeger_regime=float(cr),
             h_threshold_at_zero=float(ht),
-            poisson_regime_str=mpmath.nstr(pr, digits),
-            spectral_gap_str=mpmath.nstr(sg, digits),
-            cheeger_regime_str=mpmath.nstr(cr, digits),
-            h_threshold_at_zero_str=mpmath.nstr(ht, digits),
-            eps_threshold=_eps_threshold,
+            poisson_regime_str=mpmath.nstr(pr, _DIGITS),
+            spectral_gap_str=mpmath.nstr(sg, _DIGITS),
+            cheeger_regime_str=mpmath.nstr(cr, _DIGITS),
+            h_threshold_at_zero_str=mpmath.nstr(ht, _DIGITS),
         )
 
 
@@ -151,13 +111,3 @@ def sphere_h_upper(n: int) -> float:
         raise ValueError("needs n >= 4")
     return 30.0 * math.sqrt(2.0 * math.pi * (n - 2)) / (2.0 * math.pi * ((n - 2) // 2))
 
-
-def rayq_bounds(h: float) -> Tuple[float, float]:
-    """
-    Rayleigh-quotient bounds from the Cheeger constant: the certified
-    lower bound h^2/4, and the multiplier of the unresolved universal
-    constant in the linear upper bound (report as '<mult>*c').
-    """
-    if h < 0:
-        raise ValueError("h must be non-negative")
-    return h * h / 4.0, h

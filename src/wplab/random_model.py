@@ -35,9 +35,7 @@ __all__ = [
     "SecondMomentResult",
     "TwoCurveResult",
     "expected_pants_count",
-    "factorial_moment",
     "poisson_lambda",
-    "poisson_pmf",
     "second_moment_bound",
     "length_scale",
     "cheeger_prob_upper",
@@ -194,7 +192,9 @@ def expected_pants_count(
     Exact expected number of k-families of disjoint pants curves, each of
     length <= L, on a random (g, n) surface, with the product main term
     prod_{i<2k} (n-i) * (V_{g,n-k}/V_{g,n}) * (2 cosh(L/2) - 2)^k and the
-    relative deviation from it.
+    relative deviation from it.  It is the k-th factorial moment of the
+    pants-curve count while L < 2 arcsinh 1 (disjointness); a longer L is
+    computed anyway and flagged.
     """
     warnings: List[str] = []
     if isinstance(L, float):
@@ -224,24 +224,6 @@ def expected_pants_count(
     return ExpectationResult(exact, box, main, rel, warnings)
 
 
-def factorial_moment(
-    g: int,
-    n: int,
-    r: int,
-    L: Union[CutoffLength, float],
-    digits: int = 30,
-    budget: Optional[int] = None,
-    cache: BracketCache | None = None,
-) -> ExpectationResult:
-    """
-    r-th factorial moment of the pants-curve count at cut-off L; equal to
-    expected_pants_count(g, n, r, L).  The counting identity behind the
-    equality needs L < 2 arcsinh 1 (disjointness); beyond that the value
-    is still computed and flagged.
-    """
-    return expected_pants_count(g, n, r, L, digits, budget, cache)
-
-
 def poisson_lambda(a: float, C: float) -> Tuple[float, List[str]]:
     """
     Limit intensity a^2 (cosh(pi C) - 1) / (4 pi^2); flags C outside the
@@ -254,15 +236,6 @@ def poisson_lambda(a: float, C: float) -> Tuple[float, List[str]]:
     if C >= _POISSON_REGIME:
         warnings.append(f"C={C} >= poisson regime bound {_POISSON_REGIME:.6f}")
     return lam, warnings
-
-
-def poisson_pmf(lam: float, j: int) -> float:
-    """Poisson probability mass lam^j e^(-lam) / j!."""
-    if lam < 0 or j < 0:
-        raise ValueError("lam and j must be non-negative")
-    if lam == 0:
-        return 1.0 if j == 0 else 0.0
-    return math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
 
 
 @dataclass
@@ -301,22 +274,17 @@ def second_moment_bound(
     return SecondMomentResult(e1, e2, sm, bound, target, abs(float(target) - bound), warnings)
 
 
-def length_scale(g: int, n: int, digits: int = 6, variant: str = "sqrt") -> CutoffLength:
-    """
-    Rational approximation (10^-digits) of the sweep scale: 'sqrt' gives
-    (sqrt(g)/n)^(1/2); 'case2' gives g^(1/8)/n^(1/4).
-    """
+_SCALE_DIGITS = 6
+
+
+def length_scale(g: int, n: int) -> CutoffLength:
+    """Rational approximation (10^-6) of the sweep scale (sqrt(g)/n)^(1/2)."""
     if g < 1 or n < 1:
         raise ValueError("need g, n >= 1")
-    with mpmath.workdps(digits + 20):
-        if variant == "sqrt":
-            x = (mpmath.sqrt(g) / n) ** mpmath.mpf("0.5")
-        elif variant == "case2":
-            x = mpmath.mpf(g) ** Fraction(1, 8) / mpmath.mpf(n) ** Fraction(1, 4)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        scaled = int(mpmath.nint(x * 10 ** digits))
-    return CutoffLength.rational(Fraction(scaled, 10 ** digits))
+    with mpmath.workdps(_SCALE_DIGITS + 20):
+        x = (mpmath.sqrt(g) / n) ** mpmath.mpf("0.5")
+        scaled = int(mpmath.nint(x * 10 ** _SCALE_DIGITS))
+    return CutoffLength.rational(Fraction(scaled, 10 ** _SCALE_DIGITS))
 
 
 def _binomial_weight(m: int, n: int) -> int:

@@ -4,7 +4,7 @@ Constants recorded from the reference grid runs.
 Each value was produced once by the corresponding oracle sweep at budget
 18 (digits 40) and is frozen here; re-runs must reproduce the measured
 quantities within the stated tolerances, and the PASS columns of the lab
-experiments compare against these caps.
+experiments are checked against these caps.
 """
 
 # max over the budget-18 grid of eval(V_{g,n}) sqrt(2g-2+n) /

@@ -7,16 +7,12 @@ orbit multiplicities of puncture-pair families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, List, Tuple
+from typing import List
 
 __all__ = [
     "SplitPair",
-    "PantsPairing",
     "enumerate_splits",
-    "all_pairings",
     "pairing_multiplicity",
-    "split_type_count",
 ]
 
 
@@ -102,53 +98,6 @@ def enumerate_splits(m: int, g: int, n: int) -> List[SplitPair]:
     return out
 
 
-@dataclass(frozen=True)
-class PantsPairing:
-    """
-    An ordered family of k disjoint unordered puncture pairs {i, j} in
-    {1, ..., n}; each pair is the puncture set cut off by one curve.
-    """
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        normalized = []
-        for i, j in self.pairs:
-            if i == j or i < 1 or j < 1:
-                raise ValueError(f"bad pair ({i},{j})")
-            if i in seen or j in seen:
-                raise ValueError(f"pair ({i},{j}) reuses a puncture")
-            seen.update((i, j))
-            normalized.append((min(i, j), max(i, j)))
-        object.__setattr__(self, "pairs", tuple(normalized))
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    def punctures(self) -> set:
-        return {p for pair in self.pairs for p in pair}
-
-
-def all_pairings(n: int, k: int) -> Iterator[PantsPairing]:
-    """All ordered k-families of disjoint pairs; pairing_multiplicity(n,k) many."""
-    if k < 1 or n < 2 * k:
-        raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
-
-    def rec(chosen: List[Tuple[int, int]], used: frozenset):
-        if len(chosen) == k:
-            yield PantsPairing(tuple(chosen))
-            return
-        rest = [p for p in range(1, n + 1) if p not in used]
-        for a_idx in range(len(rest)):
-            for b_idx in range(a_idx + 1, len(rest)):
-                i, j = rest[a_idx], rest[b_idx]
-                yield from rec(chosen + [(i, j)], used | {i, j})
-
-    yield from rec([], frozenset())
-
-
 def pairing_multiplicity(n: int, k: int) -> int:
     """
     Number of ordered k-tuples of disjoint unordered puncture pairs
@@ -161,9 +110,3 @@ def pairing_multiplicity(n: int, k: int) -> int:
         out *= n - i
     return out // (2 ** k)
 
-
-def split_type_count(n: int, n1: int, k: int) -> int:
-    """Puncture assignments for a split piece: binomial(n, n1-k)."""
-    if not (0 <= n1 - k <= n):
-        raise ValueError(f"n1-k={n1 - k} outside [0, {n}]")
-    return comb(n, n1 - k)

