@@ -16,12 +16,23 @@ positive denominator, which is all the code relies on.
 from __future__ import annotations
 
 import os
-import threading
 from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Union
 
-from mpmath import iv, mp
+from mpmath import mp
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    fzero,
+    mpf_pi,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_pow_int,
+    round_ceiling,
+    round_floor,
+)
 
 __all__ = [
     "Rat",
@@ -35,7 +46,6 @@ __all__ = [
     "zeta_even",
     "coeff_a",
     "coeff_b",
-    "factorial",
 ]
 
 _env = os.environ.get("WPLAB_RAT", "auto").lower()
@@ -413,37 +423,42 @@ class NumInterval:
         return f"NumInterval({self.lo!r}, {self.hi!r})"
 
 
-_iv_lock = threading.Lock()
+def _mpi_int(x: int, prec: int):
+    """The interval iv.convert builds for an integer at working precision prec."""
+    return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+
+
+@lru_cache(maxsize=None)
+def _pi_pow(prec: int, k: int):
+    """pi^k enclosed at working precision prec, as iv.pi ** k computes it."""
+    pi = mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)
+    return mpi_pow_int(pi, k, prec)
 
 
 def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
     """
     Certified enclosure of an exact value (PiScalar, PiPoly, Rat or int).
-    All interval operations round outward, so the true real value is
-    always contained; width shrinks as precision grows.
+    Each term q_k pi^k is enclosed with mpmath's outward-rounding interval
+    primitives at the working precision of precision_digits + 10 decimal
+    digits, and the terms are summed the same way, so the true real value
+    is always contained; width shrinks as precision grows.  No global
+    state is read or set: mp.dps and iv.dps are left alone, and calls
+    from several threads do not interfere.
     """
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
-    poly = _as_poly(x)
-    if poly is NotImplemented:
-        raise TypeError(f"cannot evaluate {type(x).__name__}")
-    # mpmath interval context is global state; serialize access
-    with _iv_lock:
-        old_iv, old_mp = iv.dps, mp.dps
-        try:
-            iv.dps = precision_digits + 10
-            mp.dps = precision_digits + 10
-            if poly.is_zero():
-                z = mp.mpf(0)
-                return NumInterval(z, z)
-            total = iv.mpf(0)
-            pi = iv.pi
-            for k, q in poly.terms.items():
-                t = iv.mpf(int(q.numerator)) / iv.mpf(int(q.denominator))
-                if k:
-                    t = t * pi ** k
-                total = total + t
-            return NumInterval(mp.convert(total.a), mp.convert(total.b))
-        finally:
-            iv.dps, mp.dps = old_iv, old_mp
-
+    if isinstance(x, PiScalar):
+        terms = ((x.pideg, x.coeff),) if x.coeff else ()
+    else:
+        poly = _as_poly(x)
+        if poly is NotImplemented:
+            raise TypeError(f"cannot evaluate {type(x).__name__}")
+        terms = poly.terms.items()
+    prec = dps_to_prec(precision_digits + 10)
+    total = (fzero, fzero)
+    for k, q in terms:
+        t = mpi_div(_mpi_int(int(q.numerator), prec), _mpi_int(int(q.denominator), prec), prec)
+        if k:
+            t = mpi_mul(t, _pi_pow(prec, k), prec)
+        total = mpi_add(total, t, prec)
+    return NumInterval(mp.make_mpf(total[0]), mp.make_mpf(total[1]))

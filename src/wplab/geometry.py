@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import mpmath
 
@@ -56,6 +56,28 @@ def phi(H: float, t: float) -> float:
     if t < 0:
         raise ValueError("t must be non-negative")
     return H * math.cosh(t) / (1.0 + H * math.sinh(t))
+
+
+_GRID_BLOCK = 2000
+
+
+def _phi_grid_min(hs: Sequence[float], step: float, count: int) -> List[float]:
+    """
+    For each H in hs, the minimum of phi(H, i*step) over 0 <= i < count,
+    equal float for float to taking min over phi.  cosh and sinh of each
+    grid point are computed once and shared across hs, one block of grid
+    points at a time so memory stays flat.
+    """
+    best = [math.inf] * len(hs)
+    for start in range(0, count, _GRID_BLOCK):
+        ts = [i * step for i in range(start, min(start + _GRID_BLOCK, count))]
+        cs = list(map(math.cosh, ts))
+        ss = list(map(math.sinh, ts))
+        best = [
+            min(b, min([H * c / (1.0 + H * s) for c, s in zip(cs, ss)]))
+            for b, H in zip(best, hs)
+        ]
+    return best
 
 
 def phi_min(H: float) -> float:

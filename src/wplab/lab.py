@@ -36,9 +36,9 @@ from .brackets import (
     stable,
 )
 from .geometry import (
+    _phi_grid_min,
     collar_halfwidth,
     neighbor_curve,
-    phi,
     phi_min,
     regime_constants,
     sphere_h_upper,
@@ -442,8 +442,8 @@ def _exp_geometry_constants(cfg: LabConfig) -> List[ExperimentRow]:
                 status="PASS",
             )
         )
-    for H in (0.05, 0.11, 0.5, 1.0, 2.0):
-        grid_min = min(phi(H, i * 1e-4) for i in range(0, 50001))
+    hs = (0.05, 0.11, 0.5, 1.0, 2.0)
+    for H, grid_min in zip(hs, _phi_grid_min(hs, 1e-4, 50001)):
         dev = abs(grid_min - phi_min(H))
         rows.append(
             ExperimentRow(

@@ -17,12 +17,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .exact import NumInterval, PiPoly, Rat, eval_numeric, factorial, rat
+from .exact import NumInterval, PiPoly, Rat, eval_numeric, rat
 from .brackets import BracketCache, _require_stable, stable
 from .topology import enumerate_splits, pairing_multiplicity
 from .volumes import _coeff_table, ratio_R, volume, volume_float

@@ -13,12 +13,12 @@ in the undoubled boundary variables.  The constant term is V_{g,n}.
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
 
-from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric, factorial
+from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,

@@ -1,6 +1,8 @@
 import math
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab import recorded
+from wplab import exact, recorded
 from reference_recursion import _a_rat, _bern
 from wplab.exact import (
     PiPoly,
@@ -117,6 +119,114 @@ def test_eval_numeric_contains_thousand_digit_reference() -> None:
                 ref += mpmath.mpf(int(q.numerator)) / int(q.denominator) * mpmath.pi ** k
             for digits in (15, 30, 100):
                 assert eval_numeric(poly, digits).contains(ref)
+
+
+def _iv_context_oracle(x, digits: int):
+    """
+    The evaluation through mpmath's iv context: working precision
+    digits + 10 set globally (and restored), each term
+    iv.mpf(p) / iv.mpf(q) * iv.pi ** k, summed in term order.
+    """
+    poly = exact._as_poly(x)
+    old_iv, old_mp = mpmath.iv.dps, mpmath.mp.dps
+    try:
+        mpmath.iv.dps = digits + 10
+        mpmath.mp.dps = digits + 10
+        if poly.is_zero():
+            z = mpmath.mp.mpf(0)
+            return z, z
+        total = mpmath.iv.mpf(0)
+        pi = mpmath.iv.pi
+        for k, q in poly.terms.items():
+            t = mpmath.iv.mpf(int(q.numerator)) / mpmath.iv.mpf(int(q.denominator))
+            if k:
+                t = t * pi ** k
+            total = total + t
+        return mpmath.mp.convert(total.a), mpmath.mp.convert(total.b)
+    finally:
+        mpmath.iv.dps, mpmath.mp.dps = old_iv, old_mp
+
+
+_ORACLE_DIGITS = (1, 5, 15, 30, 40, 100)
+
+
+def _oracle_values():
+    rng = random.Random(20240611)
+
+    def wide_rat():
+        num = rng.randrange(-10 ** 30, 10 ** 30)
+        return rat(num, rng.randrange(1, 10 ** 30))
+
+    values = [0, 1, -7, 10 ** 40 + 3, rat(0), rat(-22, 7), rat(10 ** 200, 7), rat(-7, 10 ** 200)]
+    values += [PiScalar.zero(), PiScalar(rat(10 ** 200, 7), 3), PiScalar(rat(-1, 3), -8)]
+    values += [coeff_a(i) for i in (0, 1, 5, 20)] + [coeff_b(m) for m in (1, 4, 11)]
+    values += [PiPoly.zero(), PiPoly({4: rat(1, 4), 0: rat(-3, 7), -6: rat(22, 9)})]
+    for _ in range(12):
+        values.append(PiScalar(wide_rat(), rng.randint(-8, 12)))
+        values.append(wide_rat())
+        values.append(rng.randrange(-10 ** 30, 10 ** 30))
+        degrees = rng.sample(range(-8, 13), rng.randint(1, 6))
+        values.append(PiPoly({k: wide_rat() for k in degrees}))
+    return values
+
+
+def _same_endpoints(box, want) -> bool:
+    lo, hi = want
+    return (
+        box.lo._mpf_ == lo._mpf_
+        and box.hi._mpf_ == hi._mpf_
+        and float(box.mid()) == float((lo + hi) / 2)
+    )
+
+
+def test_eval_numeric_matches_iv_context_oracle() -> None:
+    for x in _oracle_values():
+        for digits in _ORACLE_DIGITS:
+            box = eval_numeric(x, digits)
+            assert type(box.lo) is type(box.hi) is mpmath.mpf
+            assert _same_endpoints(box, _iv_context_oracle(x, digits)), (x, digits)
+
+
+def test_eval_numeric_keeps_global_precision() -> None:
+    x = PiPoly({3: rat(-5, 11), -2: rat(10 ** 200, 7)})
+    want = _iv_context_oracle(x, 30)
+    old_iv = mpmath.iv.dps
+    try:
+        mpmath.iv.dps = 17
+        with mpmath.workdps(23):
+            box = eval_numeric(x, 30)
+            assert mpmath.mp.dps == 23 and mpmath.iv.dps == 17
+    finally:
+        mpmath.iv.dps = old_iv
+    assert _same_endpoints(box, want)
+
+
+def test_eval_numeric_from_two_threads() -> None:
+    values = _oracle_values()
+    sequential = {d: [eval_numeric(x, d) for x in values] for d in (30, 100)}
+    exact._pi_pow.cache_clear()
+    start = threading.Barrier(2)
+    got = {}
+
+    def run(digits: int) -> None:
+        start.wait()
+        got[digits] = [eval_numeric(x, digits) for x in values]
+
+    threads = [threading.Thread(target=run, args=(d,)) for d in (30, 100)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for d in (30, 100):
+        assert len(got[d]) == len(values)
+        for box, want in zip(got[d], sequential[d]):
+            assert (box.lo._mpf_, box.hi._mpf_) == (want.lo._mpf_, want.hi._mpf_)
 
 
 def test_scalar_arithmetic_and_errors() -> None:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from wplab.geometry import (
+    _phi_grid_min,
     collar_halfwidth,
     neighbor_curve,
     phi,
@@ -51,10 +52,15 @@ def test_cosh_sinh_invariant_random() -> None:
 def test_phi_and_phi_min() -> None:
     assert phi(0.7, 0.0) == pytest.approx(0.7)
     assert phi_min(1.0) == pytest.approx(1 / math.sqrt(2.0), rel=1e-14)
-    for H in (0.05, 0.11, 0.5, 1.0, 2.0):
+    hs = (0.05, 0.11, 0.5, 1.0, 2.0)
+    grids = []
+    for H in hs:
         grid = min(phi(H, 1e-4 * i) for i in range(0, 50001))
         assert abs(grid - phi_min(H)) < 1e-6
         assert phi(H, math.asinh(H)) == pytest.approx(phi_min(H), rel=1e-14)
+        grids.append(grid)
+    # the blocked grid of the geometry-constants experiment, float for float
+    assert _phi_grid_min(hs, 1e-4, 50001) == grids
     # dense-grid domination and the sign change of the slope at arcsinh(H)
     H = 0.8
     t_star = math.asinh(H)

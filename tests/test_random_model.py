@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from wplab import random_model, volumes
 from wplab.brackets import BracketCache, bracket, stable
-from wplab.exact import PiPoly, PiScalar, eval_numeric, factorial, rat
+from wplab.exact import PiPoly, PiScalar, eval_numeric, rat
 from wplab.random_model import (
     ARCSINH1,
     BudgetExceeded,

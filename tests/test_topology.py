@@ -1,5 +1,5 @@
 from dataclasses import dataclass
-from itertools import combinations
+from math import factorial
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -95,33 +95,20 @@ def test_split_validate_rejects_bad_tuples() -> None:
         SplitPair(0, 3, 1, 0).validate(1, 1)  # n2 = 0
 
 
-def _brute_pairings(n: int, k: int) -> int:
-    punctures = range(1, n + 1)
-    seen = set()
-
-    def rec(chosen, used):
-        if len(chosen) == k:
-            seen.add(frozenset(chosen))
-            return
-        rest = [p for p in punctures if p not in used]
-        for i, j in combinations(rest, 2):
-            rec(chosen + [(i, j)], used | {i, j})
-
-    rec([], set())
-    return len(seen)
-
-
 def test_pairing_multiplicity_against_brute_force() -> None:
     for n in range(2, 11):
         for k in range(1, 5):
             if n < 2 * k:
                 continue
-            brute = _brute_pairings(n, k)
-            # unordered families; the closed form counts ordered tuples
-            # of pairs, so divide by k!
-            from math import factorial
-
-            assert pairing_multiplicity(n, k) == brute * factorial(k)
+            ordered = 0
+            unordered = set()
+            for fam in all_pairings(n, k):
+                ordered += 1
+                unordered.add(frozenset(fam.pairs))
+            assert ordered == pairing_multiplicity(n, k)
+            # the closed form counts ordered tuples of pairs, so each
+            # unordered family appears k! times
+            assert len(unordered) * factorial(k) == ordered
 
 
 def test_pairing_multiplicity_examples() -> None:
