@@ -102,6 +102,8 @@ Key = Tuple[int, int, Tuple[int, ...]]
 # (packed numerators, their common denominator, length, largest numerator)
 Slice = Tuple[int, int, int, int]
 _EMPTY: Slice = (0, 1, 0, 0)
+# a load's memo of decoded `v:c` pieces: (v, c, the run of c nonzero v's)
+Pieces = Dict[str, Tuple[int, int, Tuple[int, ...]]]
 
 # the slot width of a fresh table, in bits, and what a widening adds past
 # the bound that forced it
@@ -143,15 +145,17 @@ def pideg_of_key(key: Key) -> int:
 
 class BracketCache:
     """
-    Append-only table Key -> rational part.  Insertion is idempotent
-    (the recursion is pure, so duplicate computation is bit-identical).
+    Append-only table Key -> rational part: the kernel only adds entries
+    (the recursion is pure, so a recomputed entry is bit-identical), and
+    `cache_load` adds a file's entries only after checking all of them,
+    raising on a key already held with another value.
     `slices` holds the kernel's packed slice vectors, built from `entries`
     only, in `slot`-bit slots; `bound_bits` is the bit length of the
     largest bound checked against that width.  `floats` maps
     (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
     enclosure of V_{g,n} at that many digits.  A table entry never changes
-    once inserted (`insert` raises on a collision), so a midpoint stays
-    valid until `clear()`, which drops all three and resets the width.
+    once added, so a midpoint stays valid until `clear()`, which drops all
+    three and resets the width.
     """
 
     def __init__(self):
@@ -163,12 +167,6 @@ class BracketCache:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def insert(self, key: Key, value: Rat) -> None:
-        old = self.entries.get(key)
-        if old is not None and old != value:
-            raise AssertionError(f"cache collision at {key}: {old} != {value}")
-        self.entries[key] = value
 
     def clear(self) -> None:
         self.entries.clear()
@@ -472,9 +470,7 @@ def _decode_piece(piece: str) -> Tuple[int, int, Tuple[int, ...]]:
     return v, c, (v,) * c if v else ()
 
 
-def _decode_counts(
-    text: str, pieces: Dict[str, Tuple[int, int, Tuple[int, ...]]]
-) -> Tuple[int, Tuple[int, ...]]:
+def _decode_counts(text: str, pieces: Pieces) -> Tuple[int, Tuple[int, ...]]:
     """
     (n, nonzero entries) of a `v:c,...` list; `pieces` memoizes the
     pieces that decoded, so each distinct one is parsed once per load.
@@ -522,56 +518,114 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
     return len(keys)
 
 
-_SCALAR_RE = re.compile(r"^(-?\d+)/(\d+)\*pi\^(-?\d+)$")
+# cache_load reads the table in line-aligned blocks of about this many
+# characters: one regex pass and one C-level conversion per column each
+_BLOCK = 1 << 14
+# one line `g|counts|num/den*pi^k`; around the value, whitespace but no
+# line break (what `str.strip` removes)
+_LINE_RE = re.compile(r"^([^|\n]*)\|([^|\n]*)\|[^\S\n]*(-?\d+)/(\d+)\*pi\^(-?\d+)[^\S\n]*$", re.M)
 
 
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
     Load entries, verifying the version header, that each key's exponents
     sum to at most 3g-3+n, that no key repeats, that no value is negative,
-    and per-line homogeneity.
-    Each distinct `v:c` piece is decoded once per call.  Malformed input
-    reports its line number.  Returns entries read.
+    and per-line homogeneity.  The whole file is checked before the table
+    changes, so a failed load leaves it as it was: a fault, named as
+    `{path}: line N: ...` for the first faulty line, then a key the table
+    holds with another value (AssertionError, the first in file order).
+    Each distinct `v:c` piece is decoded once per call.  Returns entries read.
     """
     cache = _default_cache if cache is None else cache
-    first_line: Dict[Key, int] = {}
-    pieces: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}
+    table: Dict[Key, Rat] = {}
+    pieces: Pieces = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != CACHE_VERSION:
             raise ValueError(f"cache version mismatch: {header!r}")
+        try:
+            while block := fh.read(_BLOCK):
+                _load_block(block + fh.readline(), table, pieces, {})
+        except ValueError:
+            # an undecodable byte too: the line-by-line read meets it in turn
+            table = _load_lines(path, pieces)
+    entries = cache.entries
+    if entries:
+        for key, value in table.items():
+            old = entries.get(key)
+            if old is not None and old != value:
+                raise AssertionError(f"cache collision at {key}: {old} != {value}")
+    entries.update(table)
+    return len(table)
+
+
+def _load_lines(path, pieces: Pieces) -> Dict[Key, Rat]:
+    """`_load_block` one line at a time from line 2, naming the line of a fault."""
+    table: Dict[Key, Rat] = {}
+    first_line: Dict[Key, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
             try:
-                g_s, counts_s, value_s = line.split("|")
-                g = int(g_s)
-                n, dnz = _decode_counts(counts_s, pieces)
-                m = _SCALAR_RE.match(value_s.strip())
-                if not m:
-                    raise ValueError(f"malformed PiScalar {value_s!r}")
-                num, den, pideg = map(int, m.groups())
-                if not den:
-                    raise ValueError(f"zero denominator in {value_s.strip()!r}")
-                # every bracket is nonnegative, and the kernel packs them
-                if num < 0:
-                    raise ValueError(f"negative value {value_s.strip()!r}")
-                key = (g, n, dnz)
-                first = first_line.setdefault(key, lineno)
-                if first != lineno:
-                    raise ValueError(f"duplicate key {g_s}|{counts_s}, first at line {first}")
-                _require_stable(g, n)
-                expected = pideg_of_key(key)
-                if expected < 0:
-                    raise ValueError(
-                        f"exponent sum {sum(dnz)} exceeds 3g-3+n = {3 * g - 3 + n}"
-                    )
-                # a zero value keeps any pi-degree
-                if num and pideg != expected:
-                    raise ValueError(f"pi-degree {pideg} violates homogeneity {expected}")
-                q = Rat(num, den)
+                for key in _load_block(line, table, pieces, first_line):
+                    first_line[key] = lineno
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            cache.insert(key, q)
-    return len(first_line)
+    return table
+
+
+def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Dict[Key, int]) -> List[Key]:
+    """
+    Check the non-blank lines of line-aligned text column by column and
+    add their entries to `table`; returns their keys.  A fault raises
+    ValueError, whose message is exact for one line: the checks run in the
+    order fields, genus, pieces, scalar, zero denominator, sign, stability,
+    exponent sum, duplicate (naming the line `first_line` holds for the
+    key), homogeneity.  A repeated key was read and checked on its first
+    line, so checking stability before repetition names the same fault.
+    """
+    rows = _LINE_RE.findall(text)
+    lines = text.split("\n")
+    if len(rows) != len(lines) - lines.count(""):
+        # a line the regex does not take: name why, in check order
+        g_s, counts_s, value_s = text.rstrip("\n").split("|")
+        int(g_s)
+        _decode_counts(counts_s, pieces)
+        raise ValueError(f"malformed PiScalar {value_s!r}")
+    if not rows:
+        return []
+    g_col, counts_col, num_col, den_col, pideg_col = zip(*rows)
+    gs = list(map(int, g_col))
+    decoded = [_decode_counts(counts_s, pieces) for counts_s in counts_col]
+    nums = list(map(int, num_col))
+    dens = list(map(int, den_col))
+    pidegs = list(map(int, pideg_col))
+    if 0 in dens:
+        raise ValueError(f"zero denominator in {_value(rows[dens.index(0)])!r}")
+    # every bracket is nonnegative, and the kernel packs them
+    if min(nums) < 0:
+        raise ValueError(f"negative value {_value(rows[nums.index(min(nums))])!r}")
+    keys = []
+    expected = []
+    for g, (n, dnz) in zip(gs, decoded):
+        _require_stable(g, n)
+        top = 3 * g - 3 + n - sum(dnz)
+        if top < 0:
+            raise ValueError(f"exponent sum {sum(dnz)} exceeds 3g-3+n = {3 * g - 3 + n}")
+        keys.append((g, n, dnz))
+        expected.append(2 * top)
+    size = len(table)
+    table.update(zip(keys, map(Rat, nums, dens)))
+    if len(table) != size + len(keys):
+        raise ValueError(f"duplicate key {g_col[0]}|{counts_col[0]}, first at line {first_line.get(keys[0])}")
+    # a zero value keeps any pi-degree
+    if pidegs != expected:
+        for num, pideg, e in zip(nums, pidegs, expected):
+            if num and pideg != e:
+                raise ValueError(f"pi-degree {pideg} violates homogeneity {e}")
+    return keys
+
+
+def _value(row: Tuple[str, ...]) -> str:
+    """The value field of a line the regex took, stripped."""
+    return f"{row[2]}/{row[3]}*pi^{row[4]}"

@@ -210,7 +210,7 @@ def test_cache_small_round_trip_count(tmp_path) -> None:
     bracket(1, (1, 0), cache)  # pulls in its closure
     three = BracketCache()
     for key in list(cache.entries)[:3]:
-        three.insert(key, cache.entries[key])
+        three.entries[key] = cache.entries[key]
     path = tmp_path / "three.txt"
     assert cache_save(path, three) == 3
     out = BracketCache()
@@ -420,7 +420,7 @@ def test_negative_entry_is_never_packed() -> None:
     # a poisoned table: (0, 4, (1,)) is read by the slice (0, 4, ()), which
     # V_{0,5} builds
     cache = BracketCache()
-    cache.insert((0, 4, (1,)), rat(-1))
+    cache.entries[(0, 4, (1,))] = rat(-1)
     with pytest.raises(AssertionError, match=r"negative bracket -1 at \(0, 4, \(1,\)\)"):
         volume(0, 5, cache)
 
