@@ -12,7 +12,6 @@ from .exact import (
     PiPoly,
     PiScalar,
     Rat,
-    RAT_BACKEND,
     bernoulli,
     coeff_a,
     coeff_b,

@@ -77,7 +77,7 @@ import os
 import re
 from collections import defaultdict
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -521,16 +521,20 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
 # cache_load reads the table in line-aligned blocks of about this many
 # characters: one regex pass and one C-level conversion per column each
 _BLOCK = 1 << 14
-# one line `g|counts|num/den*pi^k`; around the value, whitespace but no
-# line break (what `str.strip` removes)
-_LINE_RE = re.compile(r"^([^|\n]*)\|([^|\n]*)\|[^\S\n]*(-?\d+)/(\d+)\*pi\^(-?\d+)[^\S\n]*$", re.M)
+# one line `g|counts|num/den*pi^k`, the value's numbers in ASCII digits
+# with no leading zero and no -0, as `cache_save` writes them; around the
+# value, whitespace but no line break (what `str.strip` removes)
+_INT = r"(-?[1-9][0-9]*|0)"
+_LINE_RE = re.compile(rf"^([^|\n]*)\|([^|\n]*)\|[^\S\n]*{_INT}/([1-9][0-9]*|0)\*pi\^{_INT}[^\S\n]*$", re.M)
 
 
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
     Load entries, verifying the version header, that each key's exponents
     sum to at most 3g-3+n, that no key repeats, that no value is negative,
-    and per-line homogeneity.  The whole file is checked before the table
+    that each value is in the form `cache_save` writes (ASCII digits with
+    no leading zero or -0, lowest terms, a zero as 0/1*pi^0), and
+    per-line homogeneity.  The whole file is checked before the table
     changes, so a failed load leaves it as it was: a fault, named as
     `{path}: line N: ...` for the first faulty line, then a key the table
     holds with another value (AssertionError, the first in file order).
@@ -579,10 +583,11 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     Check the non-blank lines of line-aligned text column by column and
     add their entries to `table`; returns their keys.  A fault raises
     ValueError, whose message is exact for one line: the checks run in the
-    order fields, genus, pieces, scalar, zero denominator, sign, stability,
-    exponent sum, duplicate (naming the line `first_line` holds for the
-    key), homogeneity.  A repeated key was read and checked on its first
-    line, so checking stability before repetition names the same fault.
+    order fields, genus, pieces, scalar, zero denominator, sign, lowest
+    terms, zero as 0/1*pi^0, stability, exponent sum, duplicate (naming
+    the line `first_line` holds for the key), homogeneity.  A repeated key
+    was read and checked on its first line, so checking stability before
+    repetition names the same fault.
     """
     rows = _LINE_RE.findall(text)
     lines = text.split("\n")
@@ -605,6 +610,14 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     # every bracket is nonnegative, and the kernel packs them
     if min(nums) < 0:
         raise ValueError(f"negative value {_value(rows[nums.index(min(nums))])!r}")
+    # the form `cache_save` writes, so a load then a save gives back the bytes
+    gcds = list(map(gcd, nums, dens))
+    if max(gcds) != 1:
+        raise ValueError(f"value {_value(rows[gcds.index(max(gcds))])!r} is not in lowest terms")
+    if 0 in nums:
+        for num, pideg, row in zip(nums, pidegs, rows):
+            if not num and pideg:
+                raise ValueError(f"zero value {_value(row)!r} is not written 0/1*pi^0")
     keys = []
     expected = []
     for g, (n, dnz) in zip(gs, decoded):
@@ -618,7 +631,7 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     table.update(zip(keys, map(Rat, nums, dens)))
     if len(table) != size + len(keys):
         raise ValueError(f"duplicate key {g_col[0]}|{counts_col[0]}, first at line {first_line.get(keys[0])}")
-    # a zero value keeps any pi-degree
+    # a zero value is written at pi-degree 0 (checked above)
     if pidegs != expected:
         for num, pideg, e in zip(nums, pidegs, expected):
             if num and pideg != e:

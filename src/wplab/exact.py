@@ -3,19 +3,13 @@ Exact arithmetic in the ring of finite sums sum_k q_k pi^k (q_k rational,
 k in Z), plus the Bernoulli / zeta(2i) machinery behind the recursion
 coefficients and certified numeric evaluation of exact values.
 
-Two rational backends are supported and selected by the environment
-variable ``WPLAB_RAT``:
-
-* ``gmpy2``    -- gmpy2.mpq, C-speed big rationals (default when installed)
-* ``fraction`` -- pure-Python fractions.Fraction fallback
-
-Both are arbitrary precision and always reduced to lowest terms with a
-positive denominator, which is all the code relies on.
+Rationals are `fractions.Fraction`: arbitrary precision, always reduced
+to lowest terms with a positive denominator.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction as Rat
 from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Union
@@ -48,25 +42,8 @@ __all__ = [
     "coeff_b",
 ]
 
-_env = os.environ.get("WPLAB_RAT", "auto").lower()
-if _env not in ("auto", "gmpy2", "fraction"):
-    raise ValueError(f"WPLAB_RAT must be 'gmpy2' or 'fraction', got {_env!r}")
-
-if _env in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        RAT_BACKEND = "gmpy2"
-    except ImportError:
-        if _env == "gmpy2":
-            raise
-        from fractions import Fraction as Rat
-
-        RAT_BACKEND = "fraction"
-else:
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fraction"
+# the rational type by name, as benchmark records report it
+RAT_BACKEND = "fraction"
 
 RatLike = Union[int, "Rat"]
 
@@ -457,7 +434,7 @@ def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
     prec = dps_to_prec(precision_digits + 10)
     total = (fzero, fzero)
     for k, q in terms:
-        t = mpi_div(_mpi_int(int(q.numerator), prec), _mpi_int(int(q.denominator), prec), prec)
+        t = mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
         if k:
             t = mpi_mul(t, _pi_pow(prec, k), prec)
         total = mpi_add(total, t, prec)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from .exact import NumInterval, PiPoly, Rat, eval_numeric, rat
+from .exact import NumInterval, PiPoly, Rat, eval_numeric
 from .brackets import BracketCache, _require_stable, stable
 from .topology import enumerate_splits, pairing_multiplicity
 from .volumes import _coeff_table, ratio_R, volume, volume_float
@@ -100,8 +100,7 @@ class CutoffLength:
         return CutoffLength("rational_pi" if pi_tag else "rational", value)
 
     def as_poly(self) -> PiPoly:
-        q = rat(self.value.numerator, self.value.denominator)
-        return PiPoly({1 if self.kind == "rational_pi" else 0: q})
+        return PiPoly({1 if self.kind == "rational_pi" else 0: self.value})
 
     def __float__(self) -> float:
         x = float(self.value)
@@ -398,7 +397,7 @@ def two_curve_expectation_bound(
         raise ValueError("C must be positive")
     _ensure_budget(g, n, budget)
     _ensure_budget(g - 1, n + 1, budget)
-    T = PiPoly({1: rat(2 * CF.numerator, CF.denominator)})  # 2 pi C
+    T = PiPoly({1: 2 * CF})  # 2 pi C
     groups: Dict[Tuple[int, int], Rat] = {}
     for part, coeff in _coeff_table(g - 1, n + 1, 2, cache).items():
         exps = list(part) + [0] * (2 - len(part))

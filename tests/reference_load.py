@@ -3,8 +3,9 @@ Reference loader for `brackets.txt`: the line-at-a-time `cache_load` that
 the block loader in `wplab.brackets` replaced, kept as an oracle for it.
 
 It reads one line at a time, runs every check on that line in the order
-fields, genus, pieces, scalar, zero denominator, sign, duplicate,
-stability, exponent sum, homogeneity, and inserts the entry before it
+fields, genus, pieces, scalar, zero denominator, sign, lowest terms, zero
+as 0/1*pi^0, duplicate, stability, exponent sum, homogeneity (which a
+zero, at pi-degree 0, is exempt from), and inserts the entry before it
 reads the next line.  It shares no parsing or checking code with the
 package: only the rational type and the version header.
 """
@@ -65,10 +66,19 @@ def reference_load(path, cache) -> int:
                 if not m:
                     raise ValueError(f"malformed PiScalar {value_s!r}")
                 num, den, pideg = map(int, m.groups())
+                # each number as `cache_save` writes it: ASCII digits, no
+                # leading zero, no -0
+                if f"{num}/{den}*pi^{pideg}" != value_s.strip():
+                    raise ValueError(f"malformed PiScalar {value_s!r}")
                 if not den:
                     raise ValueError(f"zero denominator in {value_s.strip()!r}")
                 if num < 0:
                     raise ValueError(f"negative value {value_s.strip()!r}")
+                q = Rat(num, den)
+                if (q.numerator, q.denominator) != (num, den):
+                    raise ValueError(f"value {value_s.strip()!r} is not in lowest terms")
+                if not num and pideg:
+                    raise ValueError(f"zero value {value_s.strip()!r} is not written 0/1*pi^0")
                 key = (g, n, dnz)
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:
@@ -82,7 +92,6 @@ def reference_load(path, cache) -> int:
                     )
                 if num and pideg != expected:
                     raise ValueError(f"pi-degree {pideg} violates homogeneity {expected}")
-                q = Rat(num, den)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             old = cache.entries.get(key)

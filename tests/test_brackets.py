@@ -294,12 +294,24 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
         cache_load(negative, BracketCache())
 
     # surrounding whitespace and a trailing CR are stripped; a zero value
-    # keeps any pi-degree
+    # is written 0/1*pi^0
     loose = tmp_path / "loose.txt"
-    loose.write_text("wpbracket v1\n0|0:4| 4/2*pi^2 \r\n0|1:1,0:3|0/5*pi^7\n", encoding="utf-8")
+    loose.write_text("wpbracket v1\n0|0:4| 2/1*pi^2 \r\n0|1:1,0:3|0/1*pi^0\n", encoding="utf-8")
     out = BracketCache()
     assert cache_load(loose, out) == 2
     assert out.entries == {(0, 4, ()): 2, (0, 4, (1,)): 0}
+
+    # a value not in the form cache_save writes: a reducible fraction, a
+    # zero over another denominator or at another pi-degree
+    for value, message in [
+        ("4/2*pi^2", "value '4/2*pi^2' is not in lowest terms"),
+        ("0/5*pi^0", "value '0/5*pi^0' is not in lowest terms"),
+        ("0/1*pi^7", "zero value '0/1*pi^7' is not written 0/1*pi^0"),
+    ]:
+        noncanonical = tmp_path / "noncanonical.txt"
+        noncanonical.write_text(f"wpbracket v1\n0|0:3|1/1*pi^0\n0|0:4|{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"noncanonical.txt: line 3: {message}")):
+            cache_load(noncanonical, BracketCache())
 
     # a negative value is rejected; zero (above) is accepted
     negative_value = tmp_path / "negative_value.txt"

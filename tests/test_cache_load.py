@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from wplab import brackets
-from wplab.brackets import BracketCache, cache_load
+from wplab.brackets import BracketCache, cache_load, cache_save
 from wplab.lab import LabConfig, cache_warm
 
 from reference_load import reference_load
@@ -96,6 +96,21 @@ CASES = {
     "long-number": lambda t: HEADER + "0|0:3|" + "1" * 5000 + "/1*pi^0\n",
     "pieces-and-long-number": lambda t: HEADER + "0|0:0|" + "1" * 5000 + "/1*pi^0\n",
     "not-utf8": lambda t: (HEADER + "0|0:3|1/1*pi^0\n").encode() + b"0|0:4|\xff\n",
+    # a value in another form than `cache_save` writes
+    "not-lowest-terms": lambda t: HEADER + "0|0:3|2/2*pi^0\n",
+    "zero-over-seven": lambda t: HEADER + "0|0:3|1/1*pi^0\n0|0:4|0/7*pi^2\n",
+    "zero-pi-degree": lambda t: HEADER + "0|0:3|1/1*pi^0\n0|0:4|0/1*pi^5\n",
+    # line 3000 is 3|4:1,2:1,0:4|3673192854080/1*pi^12
+    "later-block-not-lowest-terms": lambda t: _replace_line(t, 3000, "3|4:1,2:1,0:4|7346385708160/2*pi^12"),
+    "sign-and-lowest-terms": lambda t: HEADER + "0|0:3|-2/2*pi^0\n",
+    "lowest-terms-and-stability": lambda t: HEADER + "0|0:2|2/2*pi^0\n",
+    "zero-pi-degree-and-exponent-sum": lambda t: HEADER + "0|1:5|0/1*pi^2\n",
+    "lowest-terms-and-duplicate": lambda t: HEADER + "0|0:4|2/1*pi^2\n0|0:4|4/2*pi^2\n",
+    "leading-zero": lambda t: HEADER + "0|0:3|1/1*pi^0\n0|0:4|02/1*pi^2\n",
+    "leading-zero-denominator": lambda t: HEADER + "0|0:4|2/01*pi^2\n",
+    "leading-zero-pi-degree": lambda t: HEADER + "0|0:4|2/1*pi^02\n",
+    "minus-zero-pi-degree": lambda t: HEADER + "0|0:3|1/1*pi^-0\n",
+    "double-zero-denominator": lambda t: HEADER + "0|0:4|1/00*pi^2\n",
 }
 
 
@@ -145,6 +160,18 @@ def test_edge_file_messages(table_text, tmp_path) -> None:
         "stability-and-exponent-sum": "line 2: unstable signature (0,2)",
         "duplicate-and-homogeneity": "line 3: duplicate key 0|0:4, first at line 2",
         "lone-cr": "line 3: not enough values to unpack",
+        "not-lowest-terms": "line 2: value '2/2*pi^0' is not in lowest terms",
+        "zero-over-seven": "line 3: value '0/7*pi^2' is not in lowest terms",
+        "zero-pi-degree": "line 3: zero value '0/1*pi^5' is not written 0/1*pi^0",
+        "later-block-not-lowest-terms": "line 3000: value '7346385708160/2*pi^12' is not in lowest terms",
+        "sign-and-lowest-terms": "line 2: negative value '-2/2*pi^0'",
+        "lowest-terms-and-stability": "line 2: value '2/2*pi^0' is not in lowest terms",
+        "zero-pi-degree-and-exponent-sum": "line 2: zero value '0/1*pi^2' is not written 0/1*pi^0",
+        "lowest-terms-and-duplicate": "line 3: value '4/2*pi^2' is not in lowest terms",
+        "loose": "line 2: value '4/2*pi^2' is not in lowest terms",
+        "minus-zero": "line 2: malformed PiScalar '-0/1*pi^7'",
+        "unicode-digits": "line 2: malformed PiScalar '١/١٢*pi^٢'",
+        "leading-zero": "line 3: malformed PiScalar '02/1*pi^2'",
     }
     for name, message in expected.items():
         path = tmp_path / "case.txt"
@@ -152,6 +179,44 @@ def test_edge_file_messages(table_text, tmp_path) -> None:
         with pytest.raises(ValueError) as info:
             cache_load(path, BracketCache())
         assert f"{path}: {message}" in str(info.value), name
+
+
+def test_load_then_save_gives_back_the_bytes(table_text, tmp_path) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    cache = BracketCache()
+    assert cache_load(path, cache) == 3321
+    again = tmp_path / "again.txt"
+    assert cache_save(again, cache) == 3321
+    assert again.read_bytes() == path.read_bytes()
+
+    # every edge file that loads: each value is saved as it was written
+    loaded = []
+    for name, case in CASES.items():
+        data = case(table_text)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        cache = BracketCache()
+        try:
+            cache_load(path, cache)
+        except (ValueError, AssertionError):
+            continue
+        loaded.append(name)
+        written = sorted(line.split("|")[2].strip() for line in data.splitlines()[1:] if line.strip())
+        cache_save(again, cache)
+        saved = sorted(line.split("|")[2] for line in again.read_text(encoding="utf-8").splitlines()[1:])
+        assert saved == written, name
+    assert loaded == [
+        "empty",
+        "closed-volume",
+        "later-block-blank-lines",
+        "later-block-crlf",
+        "later-block-cr",
+        "blank-lines",
+        "no-final-newline",
+        "tab-and-form-feed",
+        "genus-leading-space",
+        "genus-plus-sign",
+    ]
 
 
 def test_failed_load_leaves_the_table_unchanged(table_text, tmp_path) -> None:

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -23,6 +24,20 @@ from wplab.exact import (
     rat,
     zeta_even,
 )
+
+
+@pytest.mark.parametrize("selector", ["gmpy2", "bogus"])
+def test_rational_type_is_fraction_whatever_the_environment(selector) -> None:
+    # WPLAB_RAT once chose the rational type; it is read no more
+    code = (
+        "import fractions\n"
+        "import wplab\n"
+        "assert wplab.exact.Rat is fractions.Fraction\n"
+        "assert wplab.exact.RAT_BACKEND == 'fraction'\n"
+    )
+    env = {**os.environ, "WPLAB_RAT": selector}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bernoulli_base_and_convention() -> None:
