@@ -67,8 +67,10 @@ out its largest entry, and reads an unstable or over-full key as zero.
 
 The closed surface case n = 0 is unreachable by the recursion and is
 produced from the (g, 1) slice through the alternating-sum identity
-(2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}; V_{g,1} itself
-is one dimension higher and enters the table only when asked for.
+(2g-2) V_{g,0} = 1/2 sum_m (-1)^(m-1) b_m [tau_m]_{g,1}.  The slice's
+entries [tau_m]_{g,1}, m >= 1, stay in the table, one dimension past
+V_{g,0} (`5|13:1|...` is the last line of the budget-12 table); only
+V_{g,1} itself is dropped unless it was asked for.
 """
 
 from __future__ import annotations
@@ -336,8 +338,8 @@ def _q_closed(g: int, cache: BracketCache) -> Rat:
     had_one = one in memo
     X, den, length, _ = _slice(one, cache)
     if not had_one:
-        # V_{g,1} lies one dimension past V_{g,0}: keep the table to the
-        # keys asked for, the slice stays
+        # V_{g,1} lies one dimension past V_{g,0} and leaves the table
+        # unless asked for; the other (g,1) slice entries and the slice stay
         memo.pop(one, None)
     x = _unpack(X, length, cache.slot)
     total = Rat(0)
@@ -421,10 +423,7 @@ def bracket(g: int, d: Sequence[int], cache: BracketCache | None = None) -> PiSc
     |d| > 3g-3+n; raises on unstable signatures and negative entries.
     """
     key = canonical_key(g, d)
-    q = _cached_q(*key, cache)
-    if q == 0:
-        return PiScalar.zero()
-    return PiScalar(q, pideg_of_key(key))
+    return PiScalar(_cached_q(*key, cache), pideg_of_key(key))
 
 
 def c_m(g: int, n: int, m: int, cache: BracketCache | None = None) -> PiScalar:
@@ -462,10 +461,10 @@ def _value_counts(key: Key) -> List[Tuple[int, int]]:
 
 
 def _decode_piece(piece: str) -> Tuple[int, int, Tuple[int, ...]]:
-    """One `v:c` pair as (v, c, the run of c nonzero v's)."""
+    """One `v:c` pair, written as `cache_save` writes it, as (v, c, the run of c nonzero v's)."""
     v_s, _, c_s = piece.partition(":")
     v, c = int(v_s), int(c_s)
-    if c <= 0 or v < 0:
+    if c <= 0 or v < 0 or f"{v}:{c}" != piece:
         raise ValueError(f"bad multiset pair {piece!r}")
     return v, c, (v,) * c if v else ()
 
@@ -521,24 +520,28 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
 # cache_load reads the table in line-aligned blocks of about this many
 # characters: one regex pass and one C-level conversion per column each
 _BLOCK = 1 << 14
-# one line `g|counts|num/den*pi^k`, the value's numbers in ASCII digits
-# with no leading zero and no -0, as `cache_save` writes them; around the
-# value, whitespace but no line break (what `str.strip` removes)
+# one line `g|counts|num/den*pi^k`, the genus and the value's numbers in
+# ASCII digits with no leading zero and no -0, as `cache_save` writes
+# them; around the value, whitespace but no line break (what `str.strip`
+# removes)
 _INT = r"(-?[1-9][0-9]*|0)"
-_LINE_RE = re.compile(rf"^([^|\n]*)\|([^|\n]*)\|[^\S\n]*{_INT}/([1-9][0-9]*|0)\*pi\^{_INT}[^\S\n]*$", re.M)
+_LINE_RE = re.compile(rf"^{_INT}\|([^|\n]*)\|[^\S\n]*{_INT}/([1-9][0-9]*|0)\*pi\^{_INT}[^\S\n]*$", re.M)
 
 
 def cache_load(path, cache: BracketCache | None = None) -> int:
     """
-    Load entries, verifying the version header, that each key's exponents
-    sum to at most 3g-3+n, that no key repeats, that no value is negative,
-    that each value is in the form `cache_save` writes (ASCII digits with
-    no leading zero or -0, lowest terms, a zero as 0/1*pi^0), and
-    per-line homogeneity.  The whole file is checked before the table
-    changes, so a failed load leaves it as it was: a fault, named as
-    `{path}: line N: ...` for the first faulty line, then a key the table
-    holds with another value (AssertionError, the first in file order).
-    Each distinct `v:c` piece is decoded once per call.  Returns entries read.
+    Load entries, verifying the version header, that each key is written
+    as `cache_save` writes it (the genus and each `v:c` number in ASCII
+    digits with no plus sign, space or leading zero), that its exponents
+    sum to at most 3g-3+n, that no key repeats, that each value is
+    positive (every bracket with |d| <= 3g-3+n is a positive multiple of
+    a power of pi) and in the form `cache_save` writes (ASCII digits with
+    no leading zero, lowest terms), and per-line homogeneity.  The whole
+    file is checked before the table changes, so a failed load leaves it
+    as it was: a fault, named as `{path}: line N: ...` for the first
+    faulty line, then a key the table holds with another value
+    (AssertionError, the first in file order).  Each distinct `v:c` piece
+    is decoded once per call.  Returns entries read.
     """
     cache = _default_cache if cache is None else cache
     table: Dict[Key, Rat] = {}
@@ -583,9 +586,9 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     Check the non-blank lines of line-aligned text column by column and
     add their entries to `table`; returns their keys.  A fault raises
     ValueError, whose message is exact for one line: the checks run in the
-    order fields, genus, pieces, scalar, zero denominator, sign, lowest
-    terms, zero as 0/1*pi^0, stability, exponent sum, duplicate (naming
-    the line `first_line` holds for the key), homogeneity.  A repeated key
+    order fields, genus, pieces, scalar, zero denominator, positivity,
+    lowest terms, stability, exponent sum, duplicate (naming the line
+    `first_line` holds for the key), homogeneity.  A repeated key
     was read and checked on its first line, so checking stability before
     repetition names the same fault.
     """
@@ -594,7 +597,8 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     if len(rows) != len(lines) - lines.count(""):
         # a line the regex does not take: name why, in check order
         g_s, counts_s, value_s = text.rstrip("\n").split("|")
-        int(g_s)
+        if str(int(g_s)) != g_s:
+            raise ValueError(f"malformed genus {g_s!r}")
         _decode_counts(counts_s, pieces)
         raise ValueError(f"malformed PiScalar {value_s!r}")
     if not rows:
@@ -607,17 +611,12 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     pidegs = list(map(int, pideg_col))
     if 0 in dens:
         raise ValueError(f"zero denominator in {_value(rows[dens.index(0)])!r}")
-    # every bracket is nonnegative, and the kernel packs them
-    if min(nums) < 0:
-        raise ValueError(f"negative value {_value(rows[nums.index(min(nums))])!r}")
+    if min(nums) <= 0:
+        raise ValueError(f"value {_value(rows[nums.index(min(nums))])!r} is not positive")
     # the form `cache_save` writes, so a load then a save gives back the bytes
     gcds = list(map(gcd, nums, dens))
     if max(gcds) != 1:
         raise ValueError(f"value {_value(rows[gcds.index(max(gcds))])!r} is not in lowest terms")
-    if 0 in nums:
-        for num, pideg, row in zip(nums, pidegs, rows):
-            if not num and pideg:
-                raise ValueError(f"zero value {_value(row)!r} is not written 0/1*pi^0")
     keys = []
     expected = []
     for g, (n, dnz) in zip(gs, decoded):
@@ -631,11 +630,9 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
     table.update(zip(keys, map(Rat, nums, dens)))
     if len(table) != size + len(keys):
         raise ValueError(f"duplicate key {g_col[0]}|{counts_col[0]}, first at line {first_line.get(keys[0])}")
-    # a zero value is written at pi-degree 0 (checked above)
     if pidegs != expected:
-        for num, pideg, e in zip(nums, pidegs, expected):
-            if num and pideg != e:
-                raise ValueError(f"pi-degree {pideg} violates homogeneity {e}")
+        pideg, e = next((p, e) for p, e in zip(pidegs, expected) if p != e)
+        raise ValueError(f"pi-degree {pideg} violates homogeneity {e}")
     return keys
 
 

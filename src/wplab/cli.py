@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .lab import (
@@ -17,6 +18,7 @@ from .lab import (
     EXPERIMENT_DOCS,
     EXPERIMENTS,
     HARD_CHECK_EXPERIMENTS,
+    LabConfig,
     load_config_file,
     render_input,
     resolve_config,
@@ -96,19 +98,8 @@ def main(argv=None) -> int:
 
     try:
         file_values = load_config_file(args.config) if args.config else None
-        flags = {
-            "budget": args.budget,
-            "digits": args.digits,
-            "threads": args.threads,
-            "gmin": args.gmin,
-            "gmax": args.gmax,
-            "nmin": args.nmin,
-            "nmax": args.nmax,
-            "a": args.a,
-            "C": args.C,
-            "u": args.u,
-            "L": args.L,
-        }
+        # one flag per LabConfig field; cache_dir has none
+        flags = {f.name: getattr(args, f.name, None) for f in fields(LabConfig)}
         cfg = resolve_config(flags, file_values)
     except (OSError, ValueError) as exc:
         print(f"wplab: error: {exc}", file=sys.stderr)

@@ -49,9 +49,7 @@ RatLike = Union[int, "Rat"]
 
 
 def rat(num: int, den: int = 1) -> Rat:
-    """Reduced rational num/den with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
+    """Reduced rational num/den with positive denominator; ZeroDivisionError for den 0."""
     return Rat(num, den)
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -80,17 +80,6 @@ __all__ = [
     "resolve_config",
 ]
 
-CSV_COLUMNS = (
-    "experiment",
-    "input",
-    "exact",
-    "numeric",
-    "reference",
-    "deviation",
-    "status",
-    "warnings",
-)
-
 BUDGET_HARD_WARNING = 22
 
 
@@ -138,16 +127,11 @@ class ExperimentRow:
     warnings: str = ""
 
     def as_record(self) -> Dict[str, str]:
-        return {
-            "experiment": self.experiment,
-            "input": render_input(self.input),
-            "exact": self.exact,
-            "numeric": self.numeric,
-            "reference": self.reference,
-            "deviation": self.deviation,
-            "status": self.status,
-            "warnings": self.warnings,
-        }
+        """The row in CSV_COLUMNS order, its input rendered."""
+        return {**vars(self), "input": render_input(self.input)}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
 
 
 def render_input(tup: Tuple) -> str:

@@ -18,13 +18,13 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
 from .exact import NumInterval, PiPoly, Rat, eval_numeric
 from .brackets import BracketCache, _require_stable, stable
-from .topology import enumerate_splits, pairing_multiplicity
+from .topology import SplitPair, enumerate_splits, pairing_multiplicity
 from .volumes import _coeff_table, ratio_R, volume, volume_float
 
 __all__ = [
@@ -310,23 +310,15 @@ def cheeger_prob_upper(
     warnings: List[str] = []
     if C >= _LOG2_OVER_2PI:
         warnings.append(f"C={C} >= log2/(2 pi) = {_LOG2_OVER_2PI:.6f}")
-    chi = 2 * g - 2 + n
     total = 0.0
-    vgn = _vol_float(g, n, digits, budget, cache)
-    for m in range(1, chi // 2 + 1):
-        weight = _binomial_weight(m, n)
+    for m, weight, sp, v1, v2, vgn in _split_volumes(g, n, 1, digits, budget, cache):
         boost = math.exp(2.0 * math.pi * m * C)
-        for sp in enumerate_splits(m, g, n):
-            vv = (
-                _vol_float(sp.g1, sp.n1, digits, budget, cache)
-                * _vol_float(sp.g2, sp.n2, digits, budget, cache)
-                / vgn
+        vv = v1 * v2 / vgn
+        for k in range(1, sp.n1 + 1):
+            x = (2.0 * math.pi * m * C) ** (2 * k) / (
+                factorial(k) * factorial(2 * k)
             )
-            for k in range(1, sp.n1 + 1):
-                x = (2.0 * math.pi * m * C) ** (2 * k) / (
-                    factorial(k) * factorial(2 * k)
-                )
-                total += weight * vv * x * boost
+            total += weight * vv * x * boost
     return total, warnings
 
 
@@ -345,22 +337,28 @@ def pvol2_sum(
     """
     if not (0.0 < u < _LOG2_OVER_2PI):
         raise ValueError(f"u must lie in (0, log2/(2 pi) = {_LOG2_OVER_2PI:.6f})")
-    chi = 2 * g - 2 + n
     total = 0.0
-    vgn = _vol_float(g, n, digits, budget, cache)
-    for m in range(2, chi // 2 + 1):
-        weight = _binomial_weight(m, n)
+    for m, weight, sp, v1, v2, vgn in _split_volumes(g, n, 2, digits, budget, cache):
         lm = 2.0 * math.pi * m * u
         boost = math.exp(lm + 3.0 * lm ** (2.0 / 3.0))
-        for sp in enumerate_splits(m, g, n):
-            total += (
-                weight
-                * _vol_float(sp.g1, sp.n1, digits, budget, cache)
-                * _vol_float(sp.g2, sp.n2, digits, budget, cache)
-                / vgn
-                * boost
-            )
+        total += weight * v1 * v2 / vgn * boost
     return total
+
+
+def _split_volumes(
+    g: int, n: int, m_min: int, digits: int, budget: Optional[int], cache: BracketCache | None
+) -> Iterator[Tuple[int, int, SplitPair, float, float, float]]:
+    """
+    (m, C(m,n), split, V_{g1,n1}, V_{g2,n2}, V_{g,n}) for every split in
+    I_m, m = m_min..chi/2, each volume checked against the budget.
+    """
+    vgn = _vol_float(g, n, digits, budget, cache)
+    for m in range(m_min, (2 * g - 2 + n) // 2 + 1):
+        weight = _binomial_weight(m, n)
+        for sp in enumerate_splits(m, g, n):
+            v1 = _vol_float(sp.g1, sp.n1, digits, budget, cache)
+            v2 = _vol_float(sp.g2, sp.n2, digits, budget, cache)
+            yield m, weight, sp, v1, v2, vgn
 
 
 def _vol_float(

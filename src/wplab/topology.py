@@ -38,7 +38,10 @@ class SplitPair:
         return (self.n1 + self.n2 - n) // 2
 
     def validate(self, g: int, n: int) -> int:
-        """Check membership in I_m for (g, n); returns k."""
+        """
+        Check membership in I_m for (g, n); returns k.  The genus count
+        g1 + g2 + k - 1 = g follows from the Euler sizes and k.
+        """
         chi = 2 * g - 2 + n
         m = self.m
         other = 2 * self.g2 - 2 + self.n2
@@ -53,10 +56,7 @@ class SplitPair:
         two_k = self.n1 + self.n2 - n
         if two_k <= 0 or two_k % 2:
             raise ValueError(f"{self}: cut size (n1+n2-n)/2 = {two_k}/2 invalid")
-        k = two_k // 2
-        if self.g1 + self.g2 + k - 1 != g:
-            raise ValueError(f"{self}: genus bookkeeping fails for g={g}")
-        return k
+        return two_k // 2
 
     def render(self, n: int) -> str:
         """CSV form '(g1,n1|g2,n2|k)' for an ambient surface with n punctures."""
@@ -69,6 +69,8 @@ def enumerate_splits(m: int, g: int, n: int) -> List[SplitPair]:
     (m, chi-m), m the smaller one, puncture counts balanced, and an
     integral positive number of cut curves.  There are at most m+2
     choices of (g1,n1), so the family has at most 2(m+3)^2 elements.
+    The genus count g1 + g2 + k - 1 = g follows from the Euler sizes and
+    k = (n1+n2-n)/2.
     """
     chi = 2 * g - 2 + n
     if chi < 2:
@@ -76,24 +78,14 @@ def enumerate_splits(m: int, g: int, n: int) -> List[SplitPair]:
     if not (1 <= m <= chi // 2):
         raise ValueError(f"m={m} outside [1, {chi // 2}]")
     out: List[SplitPair] = []
-    for n1 in range(1, m + 2 + 1):
-        if (m + 2 - n1) % 2:
-            continue
+    # g1 = (m+2-n1)/2 >= 0; n2 > n-n1 makes k >= 1 and n2 <= chi-m+2
+    # makes g2 >= 0.  2 g2 + 2k = 2g - m + n1 is even (n1 and m share a
+    # parity), so one parity test covers both.
+    for n1 in range(2 - m % 2, m + 3, 2):
         g1 = (m + 2 - n1) // 2
-        if g1 < 0:
-            continue
-        for n2 in range(max(1, n - n1), n + n1 + 1):
-            g2_twice = chi - m + 2 - n2
-            if g2_twice < 0 or g2_twice % 2:
-                continue
-            g2 = g2_twice // 2
-            two_k = n1 + n2 - n
-            if two_k <= 0 or two_k % 2:
-                continue
-            k = two_k // 2
-            if g1 + g2 + k - 1 != g:
-                continue
-            out.append(SplitPair(g1, n1, g2, n2))
+        for n2 in range(max(1, n - n1 + 1), min(n + n1, chi - m + 2) + 1):
+            if (n1 + n2 - n) % 2 == 0:
+                out.append(SplitPair(g1, n1, (chi - m + 2 - n2) // 2, n2))
     assert len(out) <= 2 * (m + 3) ** 2
     return out
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
 
-from .exact import PiPoly, PiScalar, Rat, _coeff_b_rat, eval_numeric
+from .exact import PiPoly, PiScalar, Rat, _as_poly, _coeff_b_rat, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,
@@ -112,7 +112,8 @@ class VolumePolynomial:
 
     def at(self, lengths: Sequence) -> PiPoly:
         """
-        Exact evaluation at a list of n exact values (PiPoly-convertible).
+        Exact evaluation at a list of n exact values (PiPoly, PiScalar,
+        Rat or int; another type raises TypeError).
 
         One dynamic program over the variables, on integers.  Each squared
         nonzero length is written as integer numerators per pi-degree over
@@ -130,7 +131,13 @@ class VolumePolynomial:
         if len(lengths) != self.n:
             raise ValueError(f"expected {self.n} lengths, got {len(lengths)}")
         top = 3 * self.g - 3 + self.n
-        squares = [x * x for x in map(_to_poly, lengths) if x]
+        squares = []
+        for x in lengths:
+            poly = _as_poly(x)
+            if poly is NotImplemented:
+                raise TypeError(f"cannot use {type(x).__name__} as a length")
+            if poly:
+                squares.append(poly * poly)
         lam = lcm(*(q.denominator for sq in squares for q in sq.terms.values()))
         dp: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
         for sq in squares:
@@ -161,14 +168,6 @@ class VolumePolynomial:
 
     def __repr__(self):
         return f"VolumePolynomial(g={self.g}, n={self.n}, terms={len(self.coeffs)})"
-
-
-def _to_poly(x) -> PiPoly:
-    if isinstance(x, PiPoly):
-        return x
-    if isinstance(x, PiScalar):
-        return x.to_poly()
-    return PiPoly.constant(Rat(x))
 
 
 def _int_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:

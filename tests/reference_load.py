@@ -3,11 +3,10 @@ Reference loader for `brackets.txt`: the line-at-a-time `cache_load` that
 the block loader in `wplab.brackets` replaced, kept as an oracle for it.
 
 It reads one line at a time, runs every check on that line in the order
-fields, genus, pieces, scalar, zero denominator, sign, lowest terms, zero
-as 0/1*pi^0, duplicate, stability, exponent sum, homogeneity (which a
-zero, at pi-degree 0, is exempt from), and inserts the entry before it
-reads the next line.  It shares no parsing or checking code with the
-package: only the rational type and the version header.
+fields, genus, pieces, scalar, zero denominator, positivity, lowest
+terms, duplicate, stability, exponent sum, homogeneity, and inserts the
+entry before it reads the next line.  It shares no parsing or checking
+code with the package: only the rational type and the version header.
 """
 
 from __future__ import annotations
@@ -21,12 +20,15 @@ from wplab.exact import Rat
 Key = Tuple[int, int, Tuple[int, ...]]
 
 _SCALAR_RE = re.compile(r"^(-?\d+)/(\d+)\*pi\^(-?\d+)$")
+# an integer as `cache_save` writes it: ASCII digits, no leading zero,
+# a sign only on a nonzero negative number
+_SAVED_INT = re.compile(r"-?[1-9][0-9]*|0")
 
 
 def _decode_piece(piece: str) -> Tuple[int, int, Tuple[int, ...]]:
     v_s, _, c_s = piece.partition(":")
     v, c = int(v_s), int(c_s)
-    if c <= 0 or v < 0:
+    if c <= 0 or v < 0 or not (_SAVED_INT.fullmatch(v_s) and _SAVED_INT.fullmatch(c_s)):
         raise ValueError(f"bad multiset pair {piece!r}")
     return v, c, (v,) * c if v else ()
 
@@ -61,6 +63,8 @@ def reference_load(path, cache) -> int:
             try:
                 g_s, counts_s, value_s = line.split("|")
                 g = int(g_s)
+                if not _SAVED_INT.fullmatch(g_s):
+                    raise ValueError(f"malformed genus {g_s!r}")
                 n, dnz = _decode_counts(counts_s)
                 m = _SCALAR_RE.match(value_s.strip())
                 if not m:
@@ -72,13 +76,11 @@ def reference_load(path, cache) -> int:
                     raise ValueError(f"malformed PiScalar {value_s!r}")
                 if not den:
                     raise ValueError(f"zero denominator in {value_s.strip()!r}")
-                if num < 0:
-                    raise ValueError(f"negative value {value_s.strip()!r}")
+                if num <= 0:
+                    raise ValueError(f"value {value_s.strip()!r} is not positive")
                 q = Rat(num, den)
                 if (q.numerator, q.denominator) != (num, den):
                     raise ValueError(f"value {value_s.strip()!r} is not in lowest terms")
-                if not num and pideg:
-                    raise ValueError(f"zero value {value_s.strip()!r} is not written 0/1*pi^0")
                 key = (g, n, dnz)
                 first = first_line.setdefault(key, lineno)
                 if first != lineno:
@@ -90,7 +92,7 @@ def reference_load(path, cache) -> int:
                     raise ValueError(
                         f"exponent sum {sum(dnz)} exceeds 3g-3+n = {3 * g - 3 + n}"
                     )
-                if num and pideg != expected:
+                if pideg != expected:
                     raise ValueError(f"pi-degree {pideg} violates homogeneity {expected}")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None

@@ -272,13 +272,16 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match="line 2"):
         cache_load(inhomogeneous, BracketCache())
 
-    # |d| = 5 > 3g-3+n = 2: rejected whatever the value, zero included
-    for value in ("1/1*pi^-6", "0/1*pi^0"):
+    # |d| = 5 > 3g-3+n = 2: rejected; a zero there fails positivity first
+    for value, message in [
+        ("1/1*pi^-6", "exponent sum 5"),
+        ("0/1*pi^0", "value '0/1*pi^0' is not positive"),
+    ]:
         over_full = tmp_path / "over_full.txt"
         over_full.write_text(
             f"wpbracket v1\n0|0:3|1/1*pi^0\n0|1:5|{value}\n", encoding="utf-8"
         )
-        with pytest.raises(ValueError, match=r"over_full\.txt: line 3: exponent sum 5"):
+        with pytest.raises(ValueError, match=re.escape(f"over_full.txt: line 3: {message}")):
             cache_load(over_full, BracketCache())
 
     # a zero denominator names its file and line, not a ZeroDivisionError
@@ -293,31 +296,31 @@ def test_cache_load_empty_and_errors(tmp_path) -> None:
     with pytest.raises(ValueError, match=r"negative\.txt: line 2: unstable signature \(-1,7\)"):
         cache_load(negative, BracketCache())
 
-    # surrounding whitespace and a trailing CR are stripped; a zero value
-    # is written 0/1*pi^0
+    # surrounding whitespace and a trailing CR are stripped
     loose = tmp_path / "loose.txt"
-    loose.write_text("wpbracket v1\n0|0:4| 2/1*pi^2 \r\n0|1:1,0:3|0/1*pi^0\n", encoding="utf-8")
+    loose.write_text("wpbracket v1\n0|0:4| 2/1*pi^2 \r\n0|1:1,0:3|12/1*pi^0\n", encoding="utf-8")
     out = BracketCache()
     assert cache_load(loose, out) == 2
-    assert out.entries == {(0, 4, ()): 2, (0, 4, (1,)): 0}
+    assert out.entries == {(0, 4, ()): 2, (0, 4, (1,)): 12}
 
-    # a value not in the form cache_save writes: a reducible fraction, a
-    # zero over another denominator or at another pi-degree
+    # a reducible fraction is not in the form cache_save writes; a zero,
+    # in any form, is not a bracket of a key within 3g-3+n
     for value, message in [
         ("4/2*pi^2", "value '4/2*pi^2' is not in lowest terms"),
-        ("0/5*pi^0", "value '0/5*pi^0' is not in lowest terms"),
-        ("0/1*pi^7", "zero value '0/1*pi^7' is not written 0/1*pi^0"),
+        ("0/5*pi^0", "value '0/5*pi^0' is not positive"),
+        ("0/1*pi^7", "value '0/1*pi^7' is not positive"),
+        ("0/1*pi^0", "value '0/1*pi^0' is not positive"),
     ]:
         noncanonical = tmp_path / "noncanonical.txt"
         noncanonical.write_text(f"wpbracket v1\n0|0:3|1/1*pi^0\n0|0:4|{value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"noncanonical.txt: line 3: {message}")):
             cache_load(noncanonical, BracketCache())
 
-    # a negative value is rejected; zero (above) is accepted
+    # a negative value is rejected as a zero is
     negative_value = tmp_path / "negative_value.txt"
     negative_value.write_text("wpbracket v1\n0|0:3|1/1*pi^0\n0|0:4|-2/1*pi^2\n", encoding="utf-8")
     with pytest.raises(
-        ValueError, match=r"negative_value\.txt: line 3: negative value '-2/1\*pi\^2'"
+        ValueError, match=r"negative_value\.txt: line 3: value '-2/1\*pi\^2' is not positive"
     ):
         cache_load(negative_value, BracketCache())
 

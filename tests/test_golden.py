@@ -89,7 +89,13 @@ def test_experiment_golden(warm_table, experiment) -> None:
 @pytest.mark.parametrize("budget", sorted(BRACKETS_SHA256_BY_BUDGET))
 def test_cache_warm_table_sha256(tmp_path, budget) -> None:
     stats = cache_warm(LabConfig(budget=budget, cache_dir=str(tmp_path)), cache=BracketCache())
-    digest = hashlib.sha256(Path(stats.path).read_bytes()).hexdigest()
+    data = Path(stats.path).read_bytes()
+    # every saved bracket is positive, so a table that the next load would
+    # refuse fails here
+    lines = data.splitlines()[1:]
+    bad = [line for line in lines if line.rsplit(b"|", 1)[1].startswith((b"0/", b"-"))]
+    assert not bad, f"budget {budget}: {len(bad)} values not positive, first {bad[0]!r}"
+    digest = hashlib.sha256(data).hexdigest()
     assert digest == BRACKETS_SHA256_BY_BUDGET[budget], f"budget {budget}: sha256 {digest}"
 
 

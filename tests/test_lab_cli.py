@@ -176,20 +176,22 @@ def test_negative_cache_value_one_line_error(tmp_path) -> None:
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("wplab: error:")
-    assert "brackets.txt: line 2: negative value '-2/1*pi^2'" in lines[0]
+    assert "brackets.txt: line 2: value '-2/1*pi^2' is not positive" in lines[0]
 
 
 def test_noncanonical_zero_cache_one_line_error(tmp_path) -> None:
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    # V_{0,4} = 2 pi^2 read as a zero at pi-degree 5
-    (cache_dir / "brackets.txt").write_text("wpbracket v1\n0|0:4|0/1*pi^5\n", encoding="utf-8")
-    proc = _wplab(["identity", "--budget", "4"], env_extra={"WPLAB_CACHE": str(cache_dir)})
-    assert proc.returncode == 1
-    lines = proc.stderr.strip().splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("wplab: error:")
-    assert "brackets.txt: line 2: zero value '0/1*pi^5' is not written 0/1*pi^0" in lines[0]
+    # V_{0,4} = 2 pi^2 read as a zero: at pi-degree 5, or in the form
+    # cache_save writes a zero
+    for value in ("0/1*pi^5", "0/1*pi^0"):
+        (cache_dir / "brackets.txt").write_text(f"wpbracket v1\n0|0:4|{value}\n", encoding="utf-8")
+        proc = _wplab(["volume-table", "--budget", "1"], env_extra={"WPLAB_CACHE": str(cache_dir)})
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("wplab: error:")
+        assert f"brackets.txt: line 2: value '{value}' is not positive" in lines[0]
 
 
 def test_csv_byte_determinism_across_runs_and_threads() -> None:

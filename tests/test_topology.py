@@ -84,6 +84,34 @@ def test_split_conditions_and_cardinality_bound() -> None:
                     assert k == sp.k_for(n) >= 1
 
 
+def test_enumerate_splits_is_complete() -> None:
+    # every (g1, n1, g2, n2) that validate accepts with .m == m, each once.
+    # validate's Euler and cut conditions give g1 + g2 <= g and
+    # n2 <= n + n1 <= n + m + 2, so the search box holds them all.
+    for g in range(0, 7):
+        for n in range(0, 14):
+            chi = 2 * g - 2 + n
+            if chi < 2:
+                continue
+            for m in range(1, chi // 2 + 1):
+                want = set()
+                for g1 in range(0, g + 1):
+                    n1 = m + 2 - 2 * g1  # the one n1 with .m == m
+                    if n1 < 1:
+                        continue
+                    for g2 in range(0, g + 1):
+                        for n2 in range(1, n + m + 3):
+                            sp = SplitPair(g1, n1, g2, n2)
+                            try:
+                                sp.validate(g, n)
+                            except ValueError:
+                                continue
+                            want.add(sp)
+                splits = enumerate_splits(m, g, n)
+                assert len(set(splits)) == len(splits), (m, g, n)
+                assert set(splits) == want, (m, g, n)
+
+
 def test_split_validate_rejects_bad_tuples() -> None:
     with pytest.raises(ValueError):
         SplitPair(1, 1, 0, 4).validate(2, 1)  # puncture balance violated
