@@ -55,10 +55,11 @@ slice at hand, so no digit of an overflowed slot is ever read.  A
 negative entry cannot be packed: it raises AssertionError naming its key.
 
 The BracketCache keeps the slices beside the table they are read from,
-and beside them the certified midpoint of each volume the read path has
-evaluated (`floats`, filled by `volumes`).  An entry already in the table
-wins over the value a slice recomputes, and a slice whose entries are all
-in the table is read, not computed.
+and beside them the read path's memos: the certified midpoint of each
+volume evaluated (`floats`), each volume polynomial's coefficient table
+(`coeffs`) and each box integral's weights (`box_weights`).  An entry
+already in the table wins over the value a slice recomputes, and a slice
+whose entries are all in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
 exponent lists against it.  `_cached_q` is the one entry into the
@@ -153,17 +154,23 @@ class BracketCache:
     raising on a key already held with another value.
     `slices` holds the kernel's packed slice vectors, built from `entries`
     only, in `slot`-bit slots; `bound_bits` is the bit length of the
-    largest bound checked against that width.  `floats` maps
-    (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
-    enclosure of V_{g,n} at that many digits.  A table entry never changes
-    once added, so a midpoint stays valid until `clear()`, which drops all
-    three and resets the width.
+    largest bound checked against that width.  The read path keeps three
+    memos beside them, filled by `volumes` and `random_model`: `floats`
+    maps (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
+    enclosure of V_{g,n} at that many digits; `coeffs` maps (g, n, parts)
+    to the nonzero coefficients of V_{g,n} on monomials in at most `parts`
+    variables; `box_weights` maps (g, n, k) to the cutoff-free weights
+    {(m, pideg): w} of the box integral over k variables.  A table entry
+    never changes once added, so every memo stays valid until `clear()`,
+    which drops them all and resets the width.
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
         self.slices: Dict[Key, Slice] = {}
         self.floats: Dict[Tuple[int, int, int], object] = {}
+        self.coeffs: Dict[Tuple[int, int, int], Dict[Tuple[int, ...], PiScalar]] = {}
+        self.box_weights: Dict[Tuple[int, int, int], Dict[Tuple[int, int], Rat]] = {}
         self.slot = _FIRST_SLOT
         self.bound_bits = 0
 
@@ -174,6 +181,8 @@ class BracketCache:
         self.entries.clear()
         self.slices.clear()
         self.floats.clear()
+        self.coeffs.clear()
+        self.box_weights.clear()
         self.slot = _FIRST_SLOT
         self.bound_bits = 0
 
@@ -201,7 +210,7 @@ def _slice(key: Key, cache: BracketCache) -> Slice:
         keys = [key] + [(g, n, _insert_sorted(base, k)) for k in range(1, top + 1)]
         memo = cache.entries
         values = [memo.get(k) for k in keys]
-        if None in values:
+        if any(v is None for v in values):
             fresh = _slice_values(g, n, base, top, cache)
             values = list(map(memo.setdefault, keys, fresh))
         nums, den = _over_lcm(values)
@@ -408,7 +417,10 @@ def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) 
     if v is None:
         # the slice that leaves out the largest entry
         X, den, length, _ = _slice((g, n, dnz[1:]), cache)
-        v = memo.setdefault(key, Rat(_unpack(X, length, cache.slot)[dnz[0] if dnz else 0], den))
+        # building the slice adds its entries; only a key `_q_closed` popped is still missing
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = Rat(_unpack(X, length, cache.slot)[dnz[0] if dnz else 0], den)
     return v
 
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import mpmath
 
 from .exact import NumInterval, PiPoly, Rat, eval_numeric
-from .brackets import BracketCache, _require_stable, stable
+from .brackets import BracketCache, _require_stable, default_cache, stable
 from .topology import SplitPair, enumerate_splits, pairing_multiplicity
 from .volumes import _coeff_table, ratio_R, volume, volume_float
 
@@ -139,17 +139,22 @@ def box_count_integral(
     every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2), so a partition
     contributes coeff * arr(part, k) / (2^(k-len) prod (2v+2)) * (L^2)^(|part|+k).
     The rational weights are summed per (|part|+k, pi-degree) before any
-    pi-arithmetic.
+    pi-arithmetic; they do not depend on L and are kept in
+    `cache.box_weights` until `cache.clear()`.
     """
-    groups: Dict[Tuple[int, int], Rat] = {}
-    for part, coeff in _coeff_table(g, n, k, cache).items():
-        den = 2 ** (k - len(part))
-        for v in part:
-            den *= 2 * v + 2
-        q = coeff.coeff
-        key = (sum(part) + k, coeff.pideg)
-        w = Rat(q.numerator * _arrangements(part, k), q.denominator * den)
-        groups[key] = groups.get(key, 0) + w
+    cache = default_cache() if cache is None else cache
+    groups = cache.box_weights.get((g, n, k))
+    if groups is None:
+        groups = {}
+        for part, coeff in _coeff_table(g, n, k, cache).items():
+            den = 2 ** (k - len(part))
+            for v in part:
+                den *= 2 * v + 2
+            q = coeff.coeff
+            key = (sum(part) + k, coeff.pideg)
+            w = Rat(q.numerator * _arrangements(part, k), q.denominator * den)
+            groups[key] = groups.get(key, 0) + w
+        cache.box_weights[(g, n, k)] = groups
     return _power_sum(groups, L.as_poly() ** 2)
 
 

@@ -51,7 +51,7 @@ class SplitPair:
             raise ValueError(f"{self}: Euler sizes {m}+{other} != {chi}")
         if not (1 <= m <= other):
             raise ValueError(f"{self}: requires 1 <= m <= {other}")
-        if not (n - self.n1 <= self.n2 <= n + self.n1):
+        if self.n2 > n + self.n1:
             raise ValueError(f"{self}: puncture balance violated for n={n}")
         two_k = self.n1 + self.n2 - n
         if two_k <= 0 or two_k % 2:

@@ -193,12 +193,19 @@ def _coeff_table(
 ) -> Dict[Tuple[int, ...], PiScalar]:
     """
     Nonzero coefficients of V_{g,n} on the monomials in at most max_parts
-    variables, i.e. of V_{g,n}(x_1..x_k, 0..0) for k = max_parts.
+    variables, i.e. of V_{g,n}(x_1..x_k, 0..0) for k = max_parts.  Built
+    at most once per table: the table is kept in `cache.coeffs` until
+    `cache.clear()` and is shared, so callers must not write into it.
     """
+    cache = default_cache() if cache is None else cache
+    key = (g, n, min(max_parts, n))
+    coeffs = cache.coeffs.get(key)
+    if coeffs is not None:
+        return coeffs
     _require_stable(g, n)
     budget = 3 * g - 3 + n
-    coeffs: Dict[Tuple[int, ...], PiScalar] = {}
-    for part in partitions_upto(budget, min(max_parts, n)):
+    coeffs = {}
+    for part in partitions_upto(budget, key[2]):
         s = sum(part)
         q = _cached_q(g, n, part, cache)
         if q == 0:
@@ -207,19 +214,23 @@ def _coeff_table(
         for v in part:
             den *= factorial(2 * v + 1)
         coeffs[part] = PiScalar(Rat(q.numerator, q.denominator * den), 2 * (budget - s))
+    cache.coeffs[key] = coeffs
     return coeffs
 
 
 def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePolynomial:
-    """Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n."""
-    return VolumePolynomial(g, n, _coeff_table(g, n, n, cache))
+    """
+    Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n.  The
+    returned table is a copy that belongs to the caller.
+    """
+    return VolumePolynomial(g, n, dict(_coeff_table(g, n, n, cache)))
 
 
 def volume_at(
     g: int, n: int, lengths: Sequence, cache: BracketCache | None = None
 ) -> PiPoly:
     """Exact V_{g,n}(x_1,...,x_n) at exact boundary lengths."""
-    return volume_poly(g, n, cache).at(lengths)
+    return VolumePolynomial(g, n, _coeff_table(g, n, n, cache)).at(lengths)
 
 
 def mz_ratio(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:

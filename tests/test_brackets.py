@@ -24,7 +24,8 @@ from wplab.brackets import (
     pideg_of_key,
 )
 from wplab.lab import LabConfig, cache_warm
-from wplab.volumes import volume
+from wplab.random_model import CutoffLength, box_count_integral
+from wplab.volumes import volume, volume_float, volume_poly
 
 from reference_recursion import bracket_reference
 from test_golden import BRACKETS_SHA256
@@ -448,3 +449,20 @@ def test_slot_width_follows_the_tracked_bound() -> None:
     assert 0 < cache.bound_bits <= cache.slot
     assert cache.slot % 8 == 0
     assert cache.slot <= -(-cache.bound_bits // 8) * 8 + brackets._SLOT_HEADROOM
+
+
+def test_clear_empties_every_memo_and_resets_the_width() -> None:
+    # no memo may outlive the table it was read from: after clear() every
+    # dict the cache holds is empty and the slot width is the first one
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=12), cache=cache)
+    volume_float(3, 4, 30, cache)
+    volume_poly(2, 5, cache)
+    box_count_integral(2, 4, 2, CutoffLength.rational(1), cache)
+    memos = {name: v for name, v in vars(cache).items() if isinstance(v, dict)}
+    assert set(memos) == {"entries", "slices", "floats", "coeffs", "box_weights"}
+    assert all(memos.values())
+    assert cache.slot > brackets._FIRST_SLOT and cache.bound_bits > 0
+    cache.clear()
+    assert all(v == {} for v in vars(cache).values() if isinstance(v, dict))
+    assert (cache.slot, cache.bound_bits) == (brackets._FIRST_SLOT, 0)

@@ -26,7 +26,7 @@ from wplab.random_model import (
 )
 from wplab.topology import enumerate_splits, pairing_multiplicity
 from wplab.lab import LabConfig, _signature_grid
-from wplab.volumes import cor1_bound_check, volume, volume_float, volume_poly
+from wplab.volumes import cor1_bound_check, volume, volume_at, volume_float, volume_poly
 
 
 def test_cutoff_parse_and_render() -> None:
@@ -274,6 +274,48 @@ def test_volume_float_is_the_certified_mid() -> None:
     assert len(cache.floats) == 2 * len(sigs)
     cache.clear()
     assert cache.floats == {}
+
+
+def _ring_values(cache: BracketCache, g: int, n: int, L: CutoffLength, reset=lambda: None):
+    """volume_poly, volume_at and the box integrals over k <= 3 variables; reset() before each."""
+    lengths = [PiScalar(rat(i, 3), 1) if i % 2 else rat(i, 2) for i in range(n)]
+    out = []
+    for call in [
+        lambda: volume_poly(g, n, cache).coeffs,
+        lambda: volume_at(g, n, lengths, cache),
+        *(lambda k=k: box_count_integral(g, n, k, L, cache) for k in range(1, min(n, 3) + 1)),
+    ]:
+        reset()
+        out.append(call())
+    return out
+
+
+def test_memoized_tables_match_cold_builds() -> None:
+    # one table keeps its coefficient tables and box weights across calls
+    # and cutoffs; the other builds them afresh for every call
+    warm, cold = BracketCache(), BracketCache()
+
+    def forget():
+        cold.coeffs.clear()
+        cold.box_weights.clear()
+
+    sigs = [(g, n) for g in range(6) for n in range(16) if stable(g, n) and 3 * g - 3 + n <= 12]
+    for L in (CutoffLength.pi_multiple(Fraction(1, 7)), CutoffLength.rational(Fraction(3, 2))):
+        for g, n in sigs:
+            assert _ring_values(warm, g, n, L) == _ring_values(cold, g, n, L, forget), (g, n, L.render())
+    assert len(warm.coeffs) > len(cold.coeffs) and len(warm.box_weights) > len(cold.box_weights)
+
+
+def test_writing_a_volume_poly_leaves_the_memo_alone() -> None:
+    # volume_poly(1, 2) and the box integral over both variables share the
+    # memo key (1, 2, 2); the caller's copy takes the write, the memo does not
+    L = CutoffLength.pi_multiple(Fraction(1, 5))
+    want = _ring_values(BracketCache(), 1, 2, L)
+    cache = BracketCache()
+    poly = volume_poly(1, 2, cache)
+    poly.coeffs[()] = PiScalar(rat(7), 2)
+    del poly.coeffs[(1, 1)]
+    assert _ring_values(cache, 1, 2, L) == want
 
 
 def test_cor1_bound_reads_the_memoized_mid(monkeypatch) -> None:

@@ -119,6 +119,8 @@ def test_split_validate_rejects_bad_tuples() -> None:
         SplitPair(0, 3, 0, 4).validate(2, 2)  # Euler sizes off
     with pytest.raises(ValueError):
         SplitPair(1, 1, 2, 1).validate(2, 2)  # k = 0 is not a cut
+    with pytest.raises(ValueError, match="cut size"):
+        SplitPair(1, 1, 4, 3).validate(3, 6)  # n1 + n2 < n: k < 0
     with pytest.raises(ValueError):
         SplitPair(0, 3, 1, 0).validate(1, 1)  # n2 = 0
 
