@@ -28,7 +28,9 @@ sum_{t >= k} T[t] a_{t-k}:
 Pair creation and splits only depend on j = k1 + k2 <= D-2, and land at
 t = j + 2.  Remaining entries are grouped by value, and splits are
 enumerated as sub-multisets with binomial weights, which keeps the cost
-polynomial for the zero-heavy inputs that dominate volume computations.
+polynomial for the zero-heavy inputs that dominate volume computations:
+`_splits` shares the nonzero classes, and the kernel shares the c0 zeros
+in a loop of its own, z of them to the left piece with weight C(c0, z).
 
 Slices are packed (Kronecker substitution).  Every bracket is a
 nonnegative rational, so a slice is held as its integer numerators x[i]
@@ -233,6 +235,11 @@ def _slice_values(g: int, n: int, base: Tuple[int, ...], top: int, cache: Bracke
     if g == 1 and n == 1:
         return [Rat(1, 12), Rat(1, 2)]
     items = _value_counts((g, n - 1, base))
+    # the c0 zeros among the remaining entries come last, and C(c0, z)
+    # counts the ways z of them go to a split's left piece
+    c0 = n - 1 - len(base)
+    nonzero = items[:-1] if c0 else items
+    zero_weights = [comb(c0, z) for z in range(c0 + 1)]
     slices = cache.slices
     while True:
         S = cache.slot
@@ -270,24 +277,30 @@ def _slice_values(g: int, n: int, base: Tuple[int, ...], top: int, cache: Bracke
 
         # unordered splits {(left, g_left), (right, g_right)} of the remaining
         # entries: one product of the two pieces' packed slices each, at
-        # t = k1 + k2 + 2.  The pieces' top dimensions sum to top - 2, and a
-        # piece with a nonnegative top dimension is stable.
-        for base_left, n_left, base_right, n_right, weight, diagonal in _splits(items):
-            # the left top dimension top_zero + 3 g_left lies in 0..top-2
-            top_zero = n_left - 2 - sum(base_left)
-            lo = -(top_zero // 3) if top_zero < 0 else 0
-            hi = (top - 2 - top_zero) // 3
-            g_hi = g // 2 if diagonal else g
-            for g_left in range(lo, (hi if hi < g_hi else g_hi) + 1):
-                key = (g_left, n_left + 1, base_left)
-                X, x_den, x_len, x_max = slices.get(key) or _slice(key, cache)
-                key = (g - g_left, n_right + 1, base_right)
-                Y, y_den, y_len, y_max = slices.get(key) or _slice(key, cache)
-                w = (16 if diagonal and 2 * g_left == g else 32) * weight
-                d = x_den * y_den
-                # x_len + y_len = top, so k1 + k2 runs over 0..top-2
-                T[d] += w * X * Y << 2 * S
-                bound[d] += w * (x_len if x_len < y_len else y_len) * x_max * y_max
+        # t = k1 + k2 + 2.  `_splits` shares the nonzero entries, then z of
+        # the c0 zeros go left, z >= c0 / 2 while the nonzero pieces are tied.
+        # The pieces' top dimensions sum to top - 2, and a piece with a
+        # nonnegative top dimension is stable.
+        for base_left, sum_left, base_right, weight, tied in _splits(nonzero):
+            for z in range((c0 + 1) // 2 if tied else 0, c0 + 1):
+                n_left = len(base_left) + z
+                diagonal = tied and 2 * z == c0
+                # the left top dimension top_zero + 3 g_left lies in 0..top-2
+                top_zero = n_left - 2 - sum_left
+                lo = -(top_zero // 3) if top_zero < 0 else 0
+                hi = (top - 2 - top_zero) // 3
+                g_hi = g // 2 if diagonal else g
+                w_z = weight * zero_weights[z]
+                for g_left in range(lo, (hi if hi < g_hi else g_hi) + 1):
+                    key = (g_left, n_left + 1, base_left)
+                    X, x_den, x_len, x_max = slices.get(key) or _slice(key, cache)
+                    key = (g - g_left, n - n_left, base_right)
+                    Y, y_den, y_len, y_max = slices.get(key) or _slice(key, cache)
+                    w = (16 if diagonal and 2 * g_left == g else 32) * w_z
+                    d = x_den * y_den
+                    # x_len + y_len = top, so k1 + k2 runs over 0..top-2
+                    T[d] += w * X * Y << 2 * S
+                    bound[d] += w * (x_len if x_len < y_len else y_len) * x_max * y_max
 
         if cache.slot != S:
             continue  # a child widened the slots: terms read before it are stale
@@ -382,26 +395,23 @@ def _insert_sorted(base: Tuple[int, ...], x: int) -> Tuple[int, ...]:
 
 def _splits(
     items: List[Tuple[int, int]],
-) -> Iterator[Tuple[Tuple[int, ...], int, Tuple[int, ...], int, int, bool]]:
+) -> Iterator[Tuple[Tuple[int, ...], int, Tuple[int, ...], int, bool]]:
     """
     Every unordered split {left, right} of the multiset `items` ((value,
-    count) pairs, descending, zeros last) once, as (left nonzero entries,
-    left size, right nonzero entries, right size, product-of-binomials
-    weight, diagonal).  The tail is split first; while its two pieces are
-    tied (equal), the left piece takes at least half of the current value
-    class.  A split still tied after the first class is the diagonal one.
+    count) pairs of nonzero values, descending) once, as (left entries,
+    their sum, right entries, product-of-binomials weight, tied).  The
+    tail is split first; while its two pieces are tied (equal), the left
+    piece takes at least half of the current value class.  A split still
+    tied after the first class has equal pieces; the kernel shares the
+    zeros after it with the same rule.
     """
     if not items:
-        yield (), 0, (), 0, 1, True
+        yield (), 0, (), 1, True
         return
     (v, c), tail = items[0], items[1:]
-    for left, n_left, right, n_right, w, tied in _splits(tail):
+    for left, sum_left, right, w, tied in _splits(tail):
         for t in range((c + 1) // 2 if tied else 0, c + 1):
-            if v:
-                left_t, right_t = (v,) * t + left, (v,) * (c - t) + right
-            else:
-                left_t, right_t = left, right
-            yield left_t, n_left + t, right_t, n_right + c - t, w * comb(c, t), tied and 2 * t == c
+            yield (v,) * t + left, sum_left + v * t, (v,) * (c - t) + right, w * comb(c, t), tied and 2 * t == c
 
 
 def _cached_q(g: int, n: int, dnz: Tuple[int, ...], cache: BracketCache | None) -> Rat:

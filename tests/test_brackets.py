@@ -112,6 +112,8 @@ def _small_keys(draw):
 @example((2, (0, 0, 0)))  # rest {0,0}: diagonal split ({0}, g=1) | ({0}, g=1)
 @example((1, (2, 0, 0, 0, 0)))  # rest {0,0,0,0}: ({0,0}, g=0) | ({0,0}, g=1) once
 @example((1, (2, 1, 1, 0, 0)))  # off-diagonal splits only
+@example((0, (1, 1, 1, 0, 0, 0, 0)))  # {1} | {1} tied, c0 = 4: diagonal at z = 2 only
+@example((1, (2, 1, 1, 0, 0, 0)))  # {1} | {1} tied, c0 = 3: z from 2, not 1
 def test_cold_bracket_matches_reference(key) -> None:
     g, d = key
     q, pideg = bracket_reference(g, d)
@@ -387,25 +389,48 @@ def test_bracket_key_canonicalization() -> None:
 
 
 def test_splits_visit_each_unordered_split_once() -> None:
+    # `_splits` shares the nonzero classes; the kernel then sends z of the
+    # c0 zeros left, z >= c0 / 2 while the nonzero pieces are tied
     rng = random.Random(11)
     for _ in range(40):
-        values = sorted(rng.sample(range(6), rng.randint(1, 4)), reverse=True)
+        values = sorted(rng.sample(range(1, 6), rng.randint(0, 3)), reverse=True)
         counts = [rng.randint(1, 4) for _ in values]
-        items = list(zip(values, counts))
+        c0 = rng.randint(1, 5)
+        nonzero = list(zip(values, counts))
+        every_count = counts + [c0]
         seen = set()
         total = 0
-        for left, n_left, right, n_right, weight, diagonal in _splits(items):
-            t = tuple(left.count(v) if v else n_left - len(left) for v in values)
-            rest = tuple(c - ti for c, ti in zip(counts, t))
-            assert tuple(right.count(v) if v else n_right - len(right) for v in values) == rest
-            assert diagonal == (t == rest)
-            assert weight == math.prod(map(math.comb, counts, t))
-            assert min(t, rest) not in seen, (items, t)
-            seen.add(min(t, rest))
-            total += weight * (1 if diagonal else 2)
-        every = itertools.product(*(range(c + 1) for c in counts))
-        assert seen == {min(t, tuple(c - ti for c, ti in zip(counts, t))) for t in every}
-        assert total == 2 ** sum(counts)
+        for left, sum_left, right, weight, tied in _splits(nonzero):
+            assert sum_left == sum(left)
+            for z in range((c0 + 1) // 2 if tied else 0, c0 + 1):
+                diagonal = tied and 2 * z == c0
+                t = tuple(left.count(v) for v in values) + (z,)
+                rest = tuple(right.count(v) for v in values) + (c0 - z,)
+                assert rest == tuple(c - ti for c, ti in zip(every_count, t))
+                assert diagonal == (t == rest)
+                assert weight * math.comb(c0, z) == math.prod(map(math.comb, every_count, t))
+                assert min(t, rest) not in seen, (nonzero, c0, t)
+                seen.add(min(t, rest))
+                total += weight * math.comb(c0, z) * (1 if diagonal else 2)
+        every = itertools.product(*(range(c + 1) for c in every_count))
+        assert seen == {min(t, tuple(c - ti for c, ti in zip(every_count, t))) for t in every}
+        assert total == 2 ** sum(every_count)
+
+
+def test_splits_never_see_a_zero(monkeypatch) -> None:
+    # the kernel shares the zeros itself; a zero class handed to `_splits`
+    # would bring its fan-out back into the generator
+    calls = []
+    splits = brackets._splits
+
+    def watched(items):
+        calls.append(items)
+        return splits(items)
+
+    monkeypatch.setattr(brackets, "_splits", watched)
+    cache_warm(LabConfig(budget=12), cache=BracketCache())
+    assert calls, "the warm split nothing"
+    assert not [items for items in calls if any(v == 0 for v, _ in items)]
 
 
 def test_narrow_first_slot_widens_and_repacks(tmp_path, monkeypatch) -> None:
