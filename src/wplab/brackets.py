@@ -86,7 +86,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat
+from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat, _render_term
 
 __all__ = [
     "BracketCache",
@@ -517,20 +517,37 @@ def _decode_counts(text: str, pieces: Pieces) -> Tuple[int, Tuple[int, ...]]:
 def cache_save(path, cache: BracketCache | None = None) -> int:
     """
     Write every entry in canonical order; returns the entry count.  The
-    table goes to a temporary file beside `path` that then replaces it,
-    so a failed write leaves the previous file intact.
+    lines are streamed in one pass over the sorted keys, which builds the
+    `v:c` text of each distinct nonzero part once.  The table goes to a
+    temporary file beside `path` that then replaces it, so a failed write
+    leaves the previous file intact.
     """
     cache = _default_cache if cache is None else cache
     keys = sorted(cache.entries)
+    # nonzero part -> (its `v:c` text, that text and a comma if nonempty, size, sum)
+    parts: Dict[Tuple[int, ...], Tuple[str, str, int, int]] = {}
+
+    def lines() -> Iterator[str]:
+        yield CACHE_VERSION + "\n"
+        for key in keys:
+            g, n, dnz = key
+            part = parts.get(dnz)
+            if part is None:
+                text = ",".join(f"{v}:{c}" for v, c in _value_counts((g, len(dnz), dnz)))
+                part = parts[dnz] = (text, text + "," if text else "", len(dnz), sum(dnz))
+            text, head, size, total = part
+            counts = f"{head}0:{n - size}" if n > size else text
+            pideg = 2 * (3 * g - 3 + n - total)
+            value = cache.entries[key]
+            if type(value) is Rat and value:
+                yield f"{g}|{counts}|{_render_term(value, pideg)}\n"
+            else:  # a zero, an int or a non-number, by PiScalar's rules
+                yield f"{g}|{counts}|{PiScalar(value, pideg).render()}\n"
+
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CACHE_VERSION + "\n")
-            for key in keys:
-                g, n, dnz = key
-                counts = ",".join(f"{v}:{c}" for v, c in _value_counts(key))
-                value = PiScalar(cache.entries[key], pideg_of_key(key))
-                fh.write(f"{g}|{counts}|{value.render()}\n")
+            fh.writelines(lines())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -115,6 +115,10 @@ def coeff_b(m: int) -> "PiScalar":
 # PiScalar: a single rational multiple of an integer power of pi
 # ---------------------------------------------------------------------------
 
+def _render_term(q: Rat, k: int) -> str:
+    return f"{q.numerator}/{q.denominator}*pi^{k}"
+
+
 class PiScalar:
     """
     coeff * pi^pideg with coeff rational and pideg in Z (negative allowed).
@@ -215,7 +219,7 @@ class PiScalar:
 
     def render(self) -> str:
         """Bit-exact interchange format, e.g. '7/720*pi^4'."""
-        return f"{self.coeff.numerator}/{self.coeff.denominator}*pi^{self.pideg}"
+        return _render_term(self.coeff, self.pideg)
 
     def __repr__(self) -> str:
         return f"PiScalar({self.render()})"
@@ -340,11 +344,7 @@ class PiPoly:
     def render(self) -> str:
         if not self.terms:
             return "0/1*pi^0"
-        parts = []
-        for k in sorted(self.terms, reverse=True):
-            v = self.terms[k]
-            parts.append(f"{v.numerator}/{v.denominator}*pi^{k}")
-        return "+".join(parts)
+        return "+".join(_render_term(self.terms[k], k) for k in sorted(self.terms, reverse=True))
 
     def __repr__(self) -> str:
         return f"PiPoly({self.render()})"

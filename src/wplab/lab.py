@@ -567,6 +567,8 @@ EXPERIMENTS: Dict[str, Callable[[LabConfig], List[ExperimentRow]]] = {
 }
 
 HARD_CHECK_EXPERIMENTS = {"identity"}
+# experiments that read no bracket: `run_experiment` loads no table for them
+TABLE_FREE_EXPERIMENTS = {"geometry-constants"}
 
 EXPERIMENT_DOCS = {
     "volume-table": "exact V_{g,n}; deviation = ratio to the factorial-growth envelope; PASS iff ratio <= recorded cap",
@@ -587,7 +589,7 @@ EXPERIMENT_DOCS = {
 def run_experiment(name: str, cfg: LabConfig) -> List[ExperimentRow]:
     if name not in EXPERIMENTS:
         raise KeyError(name)
-    if cfg.cache_dir:
+    if cfg.cache_dir and name not in TABLE_FREE_EXPERIMENTS:
         persisted = Path(cfg.cache_dir) / "brackets.txt"
         if persisted.is_file():
             cache_load(persisted)

@@ -167,6 +167,25 @@ def test_zero_denominator_cache_one_line_error(tmp_path) -> None:
     assert "brackets.txt: line 2: zero denominator" in lines[0]
 
 
+def test_table_free_experiment_skips_the_table_load(tmp_path) -> None:
+    # geometry-constants reads no bracket, so a corrupt table it never
+    # uses neither fails it nor changes its rows
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "brackets.txt").write_text("wpbracket v1\n0|0:4|1/0*pi^2\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wplab.cli", "geometry-constants", "--budget", "12"],
+        capture_output=True,
+        env=dict(os.environ, WPLAB_CACHE=str(cache_dir)),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    golden = Path(__file__).resolve().parent / "golden" / "budget12" / "geometry-constants.csv"
+    assert proc.stdout == golden.read_bytes()
+    proc = _wplab(["identity", "--budget", "4"], env_extra={"WPLAB_CACHE": str(cache_dir)})
+    assert proc.returncode == 1
+    assert "brackets.txt: line 2: zero denominator" in proc.stderr
+
+
 def test_negative_cache_value_one_line_error(tmp_path) -> None:
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
