@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import mpmath
 
@@ -58,25 +58,34 @@ def phi(H: float, t: float) -> float:
     return H * math.cosh(t) / (1.0 + H * math.sinh(t))
 
 
-_GRID_BLOCK = 2000
+_PHI_EPS = 1e-9
+_PHI_RISE = (1.0 + _PHI_EPS) / (1.0 - _PHI_EPS)
 
 
-def _phi_grid_min(hs: Sequence[float], step: float, count: int) -> List[float]:
+def _phi_grid_min(H: float, step: float, count: int) -> float:
     """
-    For each H in hs, the minimum of phi(H, i*step) over 0 <= i < count,
-    equal float for float to taking min over phi.  cosh and sinh of each
-    grid point are computed once and shared across hs, one block of grid
-    points at a time so memory stays flat.
+    Minimum of phi(H, i*step) over 0 <= i < count, equal float for float
+    to taking min over phi, found by walking out from arcsinh(H).
+
+    phi'(t) has the sign of sinh(t) - H, so the exact phi falls up to
+    arcsinh(H) and rises after it.  The walk starts at the grid point
+    nearest arcsinh(H), clamped to the grid, and goes outward on each side
+    until a computed value exceeds the running minimum m times
+    (1+eps)/(1-eps), where eps = _PHI_EPS bounds the relative error of one
+    computed phi (libm's cosh and sinh and four roundings give a few ulps).
+    That value's exact phi is above m/(1-eps) and every exact value further
+    out larger still, so no computed value there can be the minimum.
     """
-    best = [math.inf] * len(hs)
-    for start in range(0, count, _GRID_BLOCK):
-        ts = [i * step for i in range(start, min(start + _GRID_BLOCK, count))]
-        cs = list(map(math.cosh, ts))
-        ss = list(map(math.sinh, ts))
-        best = [
-            min(b, min([H * c / (1.0 + H * s) for c, s in zip(cs, ss)]))
-            for b, H in zip(best, hs)
-        ]
+    if H <= 0 or step <= 0 or count < 1:
+        raise ValueError("needs H > 0, step > 0 and count >= 1")
+    start = min(round(math.asinh(H) / step), count - 1)
+    best = phi(H, start * step)
+    for stop, di in ((-1, -1), (count, 1)):
+        for i in range(start + di, stop, di):
+            value = phi(H, i * step)
+            if value > best * _PHI_RISE:
+                break
+            best = min(best, value)
     return best
 
 

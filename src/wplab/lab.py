@@ -426,8 +426,8 @@ def _exp_geometry_constants(cfg: LabConfig) -> List[ExperimentRow]:
                 status="PASS",
             )
         )
-    hs = (0.05, 0.11, 0.5, 1.0, 2.0)
-    for H, grid_min in zip(hs, _phi_grid_min(hs, 1e-4, 50001)):
+    for H in (0.05, 0.11, 0.5, 1.0, 2.0):
+        grid_min = _phi_grid_min(H, 1e-4, 50001)
         dev = abs(grid_min - phi_min(H))
         rows.append(
             ExperimentRow(

@@ -59,8 +59,8 @@ def test_phi_and_phi_min() -> None:
         assert abs(grid - phi_min(H)) < 1e-6
         assert phi(H, math.asinh(H)) == pytest.approx(phi_min(H), rel=1e-14)
         grids.append(grid)
-    # the blocked grid of the geometry-constants experiment, float for float
-    assert _phi_grid_min(hs, 1e-4, 50001) == grids
+    # the grid walk of the geometry-constants experiment, float for float
+    assert [_phi_grid_min(H, 1e-4, 50001) for H in hs] == grids
     # dense-grid domination and the sign change of the slope at arcsinh(H)
     H = 0.8
     t_star = math.asinh(H)
@@ -69,6 +69,59 @@ def test_phi_and_phi_min() -> None:
         assert phi(H, t) >= phi_min(H) - 1e-15
     assert phi(H, t_star - 0.05) > phi(H, t_star)
     assert phi(H, t_star + 0.05) > phi(H, t_star)
+
+
+def _scan_min(H: float, step: float, count: int) -> float:
+    return min(phi(H, i * step) for i in range(count))
+
+
+def test_phi_grid_min_equals_scan_random() -> None:
+    rng = random.Random(22)
+    for _ in range(300):
+        H = 10.0 ** rng.uniform(-6.0, 2.0)
+        step = 10.0 ** rng.uniform(-5.0, 0.0)
+        # past t of about 710 math.cosh overflows in the scan
+        count = min(rng.randint(1, 4000), int(700 / step) + 1)
+        assert _phi_grid_min(H, step, count) == _scan_min(H, step, count), (H, step, count)
+
+
+@pytest.mark.parametrize(
+    "H, step, count, at",
+    [
+        (0.5, 1e-3, 1, 0),  # one grid point
+        (50.0, 1e-2, 100, 99),  # the grid ends before arcsinh(50): the last point
+        (1e-3, 0.1, 40, 0),  # arcsinh(H) below half a step: the walk starts at 0
+        (50.0, 1e-4, 50001, None),
+    ],
+)
+def test_phi_grid_min_edge_cases(H: float, step: float, count: int, at: "int | None") -> None:
+    grid_min = _phi_grid_min(H, step, count)
+    assert grid_min == _scan_min(H, step, count)
+    if at is not None:
+        assert grid_min == phi(H, at * step)
+
+
+@pytest.mark.parametrize(
+    "H, step, count",
+    [(0.0, 1e-3, 10), (-1.0, 1e-3, 10), (0.5, 0.0, 10), (0.5, -1e-3, 10), (0.5, 1e-3, 0)],
+)
+def test_phi_grid_min_rejects_bad_input(H: float, step: float, count: int) -> None:
+    with pytest.raises(ValueError):
+        _phi_grid_min(H, step, count)
+
+
+def test_phi_grid_min_walks_few_points(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    cosh = math.cosh
+
+    def counted(t: float) -> float:
+        calls.append(t)
+        return cosh(t)
+
+    monkeypatch.setattr(math, "cosh", counted)
+    for H in (0.05, 0.11, 0.5, 1.0, 2.0):
+        _phi_grid_min(H, 1e-4, 50001)
+    assert 0 < len(calls) < 100
 
 
 def test_regime_constants() -> None:
