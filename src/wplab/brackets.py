@@ -78,6 +78,7 @@ V_{g,1} itself is dropped unless it was asked for.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from collections import defaultdict
@@ -86,7 +87,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat, _render_term
+from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat, _coprime_rat, _render_term
 
 __all__ = [
     "BracketCache",
@@ -581,27 +582,38 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     faulty line, then a key the table holds with another value
     (AssertionError, the first in file order).  Each distinct `v:c` piece
     is decoded once per call.  Returns entries read.
+
+    Values are built with no second normalization: the positivity and
+    lowest-terms checks make num/den equal to `Fraction(num, den)`.  The
+    cyclic collector is paused for the call and restored as found, also on
+    a fault: the parse makes only acyclic objects, which a collection never frees.
     """
     cache = _default_cache if cache is None else cache
     table: Dict[Key, Rat] = {}
     pieces: Pieces = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CACHE_VERSION:
-            raise ValueError(f"cache version mismatch: {header!r}")
-        try:
-            while block := fh.read(_BLOCK):
-                _load_block(block + fh.readline(), table, pieces, {})
-        except ValueError:
-            # an undecodable byte too: the line-by-line read meets it in turn
-            table = _load_lines(path, pieces)
-    entries = cache.entries
-    if entries:
-        for key, value in table.items():
-            old = entries.get(key)
-            if old is not None and old != value:
-                raise AssertionError(f"cache collision at {key}: {old} != {value}")
-    entries.update(table)
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != CACHE_VERSION:
+                raise ValueError(f"cache version mismatch: {header!r}")
+            try:
+                while block := fh.read(_BLOCK):
+                    _load_block(block + fh.readline(), table, pieces, {})
+            except ValueError:
+                # an undecodable byte too: the line-by-line read meets it in turn
+                table = _load_lines(path, pieces)
+        entries = cache.entries
+        if entries:
+            for key, value in table.items():
+                old = entries.get(key)
+                if old is not None and old != value:
+                    raise AssertionError(f"cache collision at {key}: {old} != {value}")
+        entries.update(table)
+    finally:
+        if gc_enabled:
+            gc.enable()
     return len(table)
 
 
@@ -666,7 +678,8 @@ def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Di
         keys.append((g, n, dnz))
         expected.append(2 * top)
     size = len(table)
-    table.update(zip(keys, map(Rat, nums, dens)))
+    # the checks above prove each num/den positive and in lowest terms
+    table.update(zip(keys, map(_coprime_rat, nums, dens)))
     if len(table) != size + len(keys):
         raise ValueError(f"duplicate key {g_col[0]}|{counts_col[0]}, first at line {first_line.get(keys[0])}")
     if pidegs != expected:

@@ -53,6 +53,18 @@ def rat(num: int, den: int = 1) -> Rat:
     return Rat(num, den)
 
 
+def _coprime_rat(num: int, den: int) -> Rat:
+    """
+    num/den with no second normalization, built as CPython 3.12's
+    `Fraction._from_coprime_ints` builds it.  Precondition: ints with
+    den > 0 and gcd(num, den) == 1, so num/den is already in lowest terms.
+    """
+    q = object.__new__(Rat)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the recursion coefficients
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """
 `brackets.cache_load` against the line-at-a-time reference loader: the same
 entries in the same order, the same exception and message on corrupt
-files, a failed load that changes nothing, and a bounded transient peak.
+files, a failed load that changes nothing, and a bounded transient peak;
+then values equal to `Fraction(num, den)` in every respect, and the
+cyclic collector paused during a load and left as it was found.
 """
 
+import gc
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from wplab import brackets
 from wplab.brackets import BracketCache, cache_load, cache_save
+from wplab.exact import _coprime_rat
 from wplab.lab import LabConfig, cache_warm
 
 from reference_load import reference_load
@@ -292,3 +297,100 @@ def test_load_transient_memory_is_bounded(table_text, tmp_path) -> None:
             tracemalloc.stop()
     assert len(cache) == 3321
     assert peak - current < 500_000, f"transient peak {peak - current} bytes"
+
+
+@pytest.fixture(scope="module")
+def table_14_text(tmp_path_factory) -> str:
+    """The budget-14 table as written by `cache_warm`."""
+    stats = cache_warm(
+        LabConfig(budget=14, cache_dir=str(tmp_path_factory.mktemp("warm14"))), cache=BracketCache()
+    )
+    with open(stats.path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def test_fraction_keeps_its_slots() -> None:
+    # `_coprime_rat` sets the two slots that `Fraction`'s own properties read
+    q = Fraction(-6, 8)
+    stored = (getattr(q, "_numerator", None), getattr(q, "_denominator", None))
+    assert stored == (-3, 4), "Fraction no longer stores `_numerator`/`_denominator`"
+    built = _coprime_rat(-3, 4)
+    assert type(built) is Fraction
+    assert (built.numerator, built.denominator, hash(built)) == (-3, 4, hash(q))
+    assert built == q and str(built) == "-3/4"
+
+
+@pytest.mark.parametrize("budget", [12, 14])
+def test_loaded_values_are_canonical_fractions(budget, table_text, table_14_text, tmp_path) -> None:
+    text = table_text if budget == 12 else table_14_text
+    path = tmp_path / "brackets.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    # each value against `Fraction(num, den)` built from its own line
+    expected = []
+    for line in text.splitlines()[1:]:
+        num, den = line.split("|")[2].split("*")[0].split("/")
+        expected.append(Fraction(int(num), int(den)))
+    cache = BracketCache()
+    assert cache_load(path, cache) == len(expected)
+    # block path, and the line-by-line fallback called on a good file
+    for values in (list(cache.entries.values()), list(brackets._load_lines(path, {}).values())):
+        assert len(values) == len(expected)
+        for value, want in zip(values, expected):
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator, hash(value)) == (want.numerator, want.denominator, hash(want))
+            assert value == want
+
+
+# name -> (file contents from the budget-12 table text, or None for no
+# file; entries the table holds before the load; the exception expected)
+GC_CASES = {
+    "good": (lambda t: t, {}, None),
+    "malformed-line": (CASES["later-block-malformed"], {}, ValueError),
+    "version": (CASES["version"], {}, ValueError),
+    "collision": (lambda t: HEADER + "0|0:3|1/1*pi^0\n", {(0, 3, ()): Fraction(2)}, AssertionError),
+    "missing-file": (None, {}, OSError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("name", list(GC_CASES))
+def test_cache_load_restores_the_collector_state(name, enabled, table_text, tmp_path) -> None:
+    case, held, error = GC_CASES[name]
+    path = tmp_path / "brackets.txt"
+    if case is not None:
+        path.write_text(case(table_text), encoding="utf-8", newline="")
+    cache = BracketCache()
+    cache.entries.update(held)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        if error is None:
+            assert cache_load(path, cache) == 3321
+        else:
+            with pytest.raises(error):
+                cache_load(path, cache)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_cache_load_runs_no_collection(table_text, tmp_path) -> None:
+    # a budget-12 parse allocates enough to set off several collections
+    # with the collector running; the load pauses it
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        cache_load(path, BracketCache())
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == [], f"collections of generations {starts} during the load"
