@@ -1,7 +1,7 @@
 r"""
 Memoized exact computation of the normalized psi-class brackets
 [tau_{d_1} ... tau_{d_n}]_{g,n} by topological recursion, with a
-persistent text-format cache.
+persistent text-format cache and a derived binary sidecar beside it.
 
 Every bracket is homogeneous: its value is a rational multiple of
 pi^(2*d0) with d0 = 3g-3+n-|d|.  The engine therefore memoizes only the
@@ -42,7 +42,8 @@ v = 0; a pair creation 16 (Z + (Z >> S << S)) << S(2 k1 + 2) with
 Z = Y >> S k1, which is 16 y[k1] and the doubled y[k2 > k1]; a split
 w (X Y) << 2S, whose slot j is the convolution at j.  T holds one packed
 accumulator per denominator d; they are summed over their lcm den, T is
-unpacked once, and each entry is one dot product with a and one rational.
+unpacked once, and each entry the table lacks is one dot product with a
+and one rational.
 
 The slot width S is one per BracketCache and comes from proven bounds.
 With nonnegative slots, a slot of a sum is at most the sum of the
@@ -79,8 +80,12 @@ V_{g,1} itself is dropped unless it was asked for.
 from __future__ import annotations
 
 import gc
+import hashlib
+import io
+import marshal
 import os
 import re
+import sys
 from collections import defaultdict
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -201,8 +206,8 @@ def _slice(key: Key, cache: BracketCache) -> Slice:
     """
     Packed slice vector q(g, n, base + {k}) for k = 0..3g-3+n-|base| of
     key = (g, n, base); empty past the top dimension.  (g, n) must be
-    stable with n >= 1.  An entry already in the table wins over the value
-    `_slice_values` computes for it.
+    stable with n >= 1.  Only the entries the table lacks are built from
+    what `_slice_values` returns; an entry already in the table wins.
     """
     sv = cache.slices.get(key)
     if sv is None:
@@ -214,8 +219,10 @@ def _slice(key: Key, cache: BracketCache) -> Slice:
         memo = cache.entries
         values = [memo.get(k) for k in keys]
         if any(v is None for v in values):
-            fresh = _slice_values(g, n, base, top, cache)
-            values = list(map(memo.setdefault, keys, fresh))
+            T_num, a, den = _slice_values(g, n, base, top, cache)
+            for k, v in enumerate(values):
+                if v is None:
+                    values[k] = memo.setdefault(keys[k], Rat(sum(map(mul, T_num[k:], a)), den))
         nums, den = _over_lcm(values)
         if min(nums) < 0:
             i = next(i for i, x in enumerate(nums) if x < 0)
@@ -226,15 +233,18 @@ def _slice(key: Key, cache: BracketCache) -> Slice:
     return sv
 
 
-def _slice_values(g: int, n: int, base: Tuple[int, ...], top: int, cache: BracketCache) -> List[Rat]:
+def _slice_values(
+    g: int, n: int, base: Tuple[int, ...], top: int, cache: BracketCache
+) -> Tuple[List[int], Tuple[int, ...], int]:
     """
     q(g, n, base + {k}) for k = 0..top in one pass, with the inserted point
     k as the distinguished entry, so every child slice is shared by all k.
+    Returns (T, a, den): entry k is sum(T[k:] a) / den, a the a_L numerators.
     """
     if g == 0 and n == 3:
-        return [Rat(1)]
+        return [1], (1,), 1
     if g == 1 and n == 1:
-        return [Rat(1, 12), Rat(1, 2)]
+        return [1, 6], (1,), 12
     items = _value_counts((g, n - 1, base))
     # the c0 zeros among the remaining entries come last, and C(c0, z)
     # counts the ways z of them go to a split's left piece
@@ -313,11 +323,9 @@ def _slice_values(g: int, n: int, base: Tuple[int, ...], top: int, cache: Bracke
             acc_bound += den // d * bound[d]
         if _fits(acc_bound, cache):
             break
-    # then a_L applied once per entry
-    T_num = _unpack(acc, top + 1, S)
+    # a_L is applied once per entry the caller builds
     a, a_den = _a_table(top)
-    den *= a_den
-    return [Rat(sum(map(mul, T_num[k:], a)), den) for k in range(top + 1)]
+    return _unpack(acc, top + 1, S), a, den * a_den
 
 
 def _fits(bound: int, cache: BracketCache) -> bool:
@@ -586,35 +594,87 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     Values are built with no second normalization: the positivity and
     lowest-terms checks make num/den equal to `Fraction(num, den)`.  The
     cyclic collector is paused for the call and restored as found, also on
-    a fault: the parse makes only acyclic objects, which a collection never frees.
+    a fault: the load makes only acyclic objects, which a collection never frees.
+
+    A load that parsed every line and raised nothing writes a derived
+    sidecar `<path>.idx`, bound to the text's sha256; a later load reads
+    it instead of parsing only if its tag and both its digests match.
+    Trust: the digests catch staleness and accidental corruption; whoever
+    can write the cache directory can already write a well-formed wrong
+    value into the text.  The collision check runs on both paths.
     """
     cache = _default_cache if cache is None else cache
-    table: Dict[Key, Rat] = {}
     pieces: Pieces = {}
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CACHE_VERSION:
-                raise ValueError(f"cache version mismatch: {header!r}")
-            try:
-                while block := fh.read(_BLOCK):
-                    _load_block(block + fh.readline(), table, pieces, {})
-            except ValueError:
-                # an undecodable byte too: the line-by-line read meets it in turn
-                table = _load_lines(path, pieces)
+        # one handle to hash and parse, which a writer's replace leaves intact
+        with open(path, "rb") as raw:
+            h = hashlib.sha256()
+            while chunk := raw.read(1 << 16):
+                h.update(chunk)
+            digest = h.digest()
+            table = sidecar = _read_sidecar(path, digest)
+            if sidecar is None:
+                raw.seek(0)
+                fh = io.TextIOWrapper(raw, encoding="utf-8")
+                header = fh.readline().rstrip("\n")
+                if header != CACHE_VERSION:
+                    raise ValueError(f"cache version mismatch: {header!r}")
+                table = {}
+                try:
+                    while block := fh.read(_BLOCK):
+                        _load_block(block + fh.readline(), table, pieces, {})
+                except ValueError:
+                    # an undecodable byte too; a second read binds no sidecar
+                    table, digest = _load_lines(path, pieces), None
         entries = cache.entries
         if entries:
             for key, value in table.items():
                 old = entries.get(key)
                 if old is not None and old != value:
                     raise AssertionError(f"cache collision at {key}: {old} != {value}")
+        if sidecar is None and digest:
+            _write_sidecar(path, digest, table)
         entries.update(table)
     finally:
         if gc_enabled:
             gc.enable()
     return len(table)
+
+
+# the sidecar: this tag, the sha256 of the text and of the payload, then the payload,
+# (keys, numerators, denominators) in marshal format 2, whose write keeps no ref table
+_IDX_TAG = f"{CACHE_VERSION} idx1 {sys.implementation.cache_tag} marshal 2\n".encode()
+
+
+def _read_sidecar(path, digest: bytes) -> Dict[Key, Rat] | None:
+    """The table in `<path>.idx` if it is bound to text of sha256 `digest`, else None."""
+    try:
+        with open(f"{path}.idx", "rb") as fh:
+            data = fh.read()
+        at, view = len(_IDX_TAG) + 64, memoryview(data)
+        if data[: at - 32] != _IDX_TAG + digest or hashlib.sha256(view[at:]).digest() != data[at - 32 : at]:
+            return None
+        keys, nums, dens = marshal.loads(view[at:])
+        return dict(zip(keys, map(_coprime_rat, nums, dens)))
+    except (OSError, ValueError, TypeError, EOFError):
+        return None
+
+
+def _write_sidecar(path, digest: bytes, table: Dict[Key, Rat]) -> None:
+    """`<path>.idx` for `table`, checked from text of sha256 `digest`; a failed write leaves no file."""
+    tmp = f"{path}.idx.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            values = table.values()
+            payload = marshal.dumps((list(table), [v.numerator for v in values], [v.denominator for v in values]), 2)
+            fh.write(_IDX_TAG + digest + hashlib.sha256(payload).digest())
+            fh.write(payload)
+        os.replace(tmp, f"{path}.idx")
+    except OSError:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_lines(path, pieces: Pieces) -> Dict[Key, Rat]:

@@ -7,6 +7,8 @@ cyclic collector paused during a load and left as it was found.
 """
 
 import gc
+import hashlib
+import marshal
 import re
 import tracemalloc
 from fractions import Fraction
@@ -394,3 +396,214 @@ def test_cache_load_runs_no_collection(table_text, tmp_path) -> None:
     finally:
         gc.callbacks.remove(count)
     assert starts == [], f"collections of generations {starts} during the load"
+
+
+# ---------------------------------------------------------------------------
+# The sidecar `<path>.idx`: written by a checked load, read back only when
+# it matches the text's bytes, otherwise a full parse
+# ---------------------------------------------------------------------------
+
+
+def _idx(path):
+    return path.with_name(path.name + ".idx")
+
+
+def _no_parse(*args):
+    """Stands in for `_load_block` where a load must read the sidecar."""
+    raise AssertionError("the text was parsed")
+
+
+def _same_tables(got, want) -> None:
+    assert list(got) == list(want)
+    for value, expected in zip(got.values(), want.values()):
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator, hash(value)) == (
+            expected.numerator,
+            expected.denominator,
+            hash(expected),
+        )
+
+
+@pytest.mark.parametrize("budget", [12, 14])
+def test_sidecar_parse_and_reference_give_the_same_table(budget, table_text, table_14_text, tmp_path, monkeypatch):
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text if budget == 12 else table_14_text, encoding="utf-8", newline="")
+    parsed = BracketCache()
+    count = cache_load(path, parsed)
+    assert _idx(path).is_file()
+    reference = BracketCache()
+    assert reference_load(path, reference) == count
+    with monkeypatch.context() as m:
+        m.setattr(brackets, "_load_block", _no_parse)
+        read = BracketCache()
+        assert cache_load(path, read) == count
+    _same_tables(parsed.entries, reference.entries)
+    _same_tables(read.entries, reference.entries)
+
+
+def _flip_payload_byte(data: bytes) -> bytes:
+    at = len(data) // 2
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+# what happens to the text or its sidecar after a load wrote the sidecar
+STALE = {
+    # a value with another digit, the same size: only the digest tells
+    "text-changed": lambda path, idx: path.write_bytes(
+        path.read_bytes().replace(b"\n0|0:3|1/1*pi^0\n", b"\n0|0:3|3/1*pi^0\n", 1)
+    ),
+    "payload-byte-flipped": lambda path, idx: idx.write_bytes(_flip_payload_byte(idx.read_bytes())),
+    "truncated": lambda path, idx: idx.write_bytes(idx.read_bytes()[:-100]),
+    "foreign-tag": lambda path, idx: idx.write_bytes(idx.read_bytes().replace(b"idx1", b"idx9", 1)),
+    "garbage-after-header": lambda path, idx: idx.write_bytes(
+        idx.read_bytes()[: len(brackets._IDX_TAG) + 64] + b"\x00garbage" * 100
+    ),
+    # payloads that pass their digest but do not unmarshal to a table
+    "garbage-with-its-digest": lambda path, idx: idx.write_bytes(_bound(path, b"\x00garbage" * 100)),
+    "wrong-shape-with-its-digest": lambda path, idx: idx.write_bytes(_bound(path, marshal.dumps((1, 2), 2))),
+}
+
+
+def _bound(path, payload: bytes) -> bytes:
+    """A sidecar for the text at `path` with this payload and its true digest."""
+    sha = hashlib.sha256
+    return brackets._IDX_TAG + sha(path.read_bytes()).digest() + sha(payload).digest() + payload
+
+
+@pytest.mark.parametrize("name", list(STALE))
+def test_stale_or_corrupt_sidecar_falls_back_to_the_parse(name, table_text, tmp_path, monkeypatch) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    cache_load(path, BracketCache())
+    size = path.stat().st_size
+    STALE[name](path, _idx(path))
+    assert path.stat().st_size == size
+    reference = BracketCache()
+    reference_load(path, reference)
+    cache = BracketCache()
+    assert cache_load(path, cache) == 3321
+    _same_tables(cache.entries, reference.entries)
+    if name == "text-changed":
+        assert cache.entries[(0, 3, ())] == 3
+    # the parse wrote the sidecar again, and it now matches
+    with monkeypatch.context() as m:
+        m.setattr(brackets, "_load_block", _no_parse)
+        again = BracketCache()
+        cache_load(path, again)
+    _same_tables(again.entries, reference.entries)
+
+
+def test_faulty_text_never_gets_a_sidecar(table_text, tmp_path) -> None:
+    for name, case in CASES.items():
+        data = case(table_text)
+        path = tmp_path / name / "brackets.txt"
+        path.parent.mkdir()
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        try:
+            cache_load(path, BracketCache())
+        except ValueError:
+            assert not _idx(path).exists(), name
+        else:
+            assert _idx(path).is_file(), name
+    # a key held with another value: the load raises, and writes nothing
+    path = tmp_path / "collision.txt"
+    path.write_text(HEADER + "0|0:3|1/1*pi^0\n", encoding="utf-8")
+    cache = BracketCache()
+    cache.entries[(0, 3, ())] = Fraction(2)
+    with pytest.raises(AssertionError, match="cache collision"):
+        cache_load(path, cache)
+    assert not _idx(path).exists()
+
+
+def test_line_appended_behind_a_sidecar_is_still_named(table_text, tmp_path) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    cache_load(path, BracketCache())
+    sidecar = _idx(path).read_bytes()
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write("5|13:1|x\n")
+    cache = BracketCache()
+    with pytest.raises(ValueError, match=r"brackets\.txt: line 3323: malformed PiScalar 'x'"):
+        cache_load(path, cache)
+    assert len(cache) == 0
+    assert _idx(path).read_bytes() == sidecar
+
+
+def test_failed_sidecar_write_still_loads(table_text, tmp_path, monkeypatch) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+
+    def replace(src, dst):
+        raise OSError("read-only directory")
+
+    monkeypatch.setattr(brackets.os, "replace", replace)
+    cache = BracketCache()
+    assert cache_load(path, cache) == 3321
+    reference = BracketCache()
+    reference_load(path, reference)
+    _same_tables(cache.entries, reference.entries)
+    assert [p.name for p in tmp_path.iterdir()] == ["brackets.txt"]
+
+
+def test_collision_is_caught_on_the_sidecar_path(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(HEADER + "0|0:3|1/1*pi^0\n0|0:4|2/1*pi^2\n", encoding="utf-8")
+    cache_load(path, BracketCache())
+    monkeypatch.setattr(brackets, "_load_block", _no_parse)
+    cache = BracketCache()
+    cache.entries[(0, 4, ())] = Fraction(5)
+    with pytest.raises(AssertionError, match=re.escape("cache collision at (0, 4, ()): 5 != 2")):
+        cache_load(path, cache)
+    assert list(cache.entries.items()) == [((0, 4, ()), Fraction(5))]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sidecar_load_keeps_the_collector_state_and_runs_no_collection(enabled, table_text, tmp_path, monkeypatch):
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    cache_load(path, BracketCache())
+    monkeypatch.setattr(brackets, "_load_block", _no_parse)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        assert cache_load(path, BracketCache()) == 3321
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+        gc.callbacks.remove(count)
+    assert starts == [], f"collections of generations {starts} during the load"
+
+
+def test_first_load_transient_memory_is_bounded(table_text, tmp_path) -> None:
+    # the first load of a text parses it and then writes its sidecar; the
+    # write's peak stays below the parse's
+    first = tmp_path / "first" / "brackets.txt"
+    path = tmp_path / "brackets.txt"
+    first.parent.mkdir()
+    for p in (first, path):
+        p.write_text(table_text, encoding="utf-8", newline="")
+    cache_load(first, BracketCache())  # compiled patterns and imports first
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        cache = BracketCache()
+        tracemalloc.reset_peak()
+        current, peak = tracemalloc.get_traced_memory()
+        cache_load(path, cache)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(cache) == 3321
+    assert _idx(path).is_file()
+    assert peak - current < 500_000, f"transient peak {peak - current} bytes"

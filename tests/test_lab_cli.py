@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -339,3 +340,23 @@ def test_rows_render_and_sorting() -> None:
 def test_run_experiment_unknown_name() -> None:
     with pytest.raises(KeyError):
         run_experiment("bogus", LabConfig())
+
+
+def test_sidecar_is_shared_across_processes(tmp_path) -> None:
+    # the first process parses brackets.txt and writes its sidecar; the
+    # second reads the sidecar, rewrites nothing and gives the same bytes
+    cache_dir = tmp_path / "cache"
+    cache_warm(LabConfig(budget=8, cache_dir=str(cache_dir)), cache=BracketCache())
+    table = cache_dir / "brackets.txt"
+    sidecar = cache_dir / "brackets.txt.idx"
+    digest = hashlib.sha256(table.read_bytes()).hexdigest()
+    assert not sidecar.exists()
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"mz-ratio-{run}.csv"
+        proc = _wplab(["mz-ratio", "--budget", "8", "--out", str(out)], env_extra={"WPLAB_CACHE": str(cache_dir)})
+        assert proc.returncode == 0, proc.stderr
+        assert sidecar.is_file()
+        outputs.append((out.read_bytes(), sidecar.stat().st_ino, sidecar.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
