@@ -58,11 +58,11 @@ slice at hand, so no digit of an overflowed slot is ever read.  A
 negative entry cannot be packed: it raises AssertionError naming its key.
 
 The BracketCache keeps the slices beside the table they are read from,
-and beside them the read path's memos: the certified midpoint of each
-volume evaluated (`floats`), each volume polynomial's coefficient table
-(`coeffs`) and each box integral's weights (`box_weights`).  An entry
-already in the table wins over the value a slice recomputes, and a slice
-whose entries are all in the table is read, not computed.
+and beside them the read path's memos: each volume's certified midpoint
+(`floats`) and its float per working precision (`rounded`), coefficient
+tables by (g, n) (`coeffs`) and box-integral weights (`box_weights`).  An
+entry already in the table wins over the value a slice recomputes, and a
+slice whose entries are all in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
 exponent lists against it.  `_cached_q` is the one entry into the
@@ -162,37 +162,45 @@ class BracketCache:
     raising on a key already held with another value.
     `slices` holds the kernel's packed slice vectors, built from `entries`
     only, in `slot`-bit slots; `bound_bits` is the bit length of the
-    largest bound checked against that width.  The read path keeps three
+    largest bound checked against that width.  The read path keeps four
     memos beside them, filled by `volumes` and `random_model`: `floats`
     maps (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
-    enclosure of V_{g,n} at that many digits; `coeffs` maps (g, n, parts)
-    to the nonzero coefficients of V_{g,n} on monomials in at most `parts`
-    variables; `box_weights` maps (g, n, k) to the cutoff-free weights
-    {(m, pideg): w} of the box integral over k variables.  A table entry
-    never changes once added, so every memo stays valid until `clear()`,
-    which drops them all and resets the width.
+    enclosure of V_{g,n} at that many digits, and `rounded` that key and
+    mpmath's (precision, rounding) to its float; `coeffs` maps (g, n) to
+    the nonzero coefficients of V_{g,n}; `box_weights` maps (g, n, k) to
+    the cutoff-free weights {(m, pideg): w} of the box integral over k
+    variables.  A table entry never changes once added, so every memo, and
+    `same_as` while the count holds, stays valid until `clear()` makes the
+    cache new.  `same_as` is (real path, sha256, count) of a file that
+    holds exactly the entries.
     """
 
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
         self.slices: Dict[Key, Slice] = {}
         self.floats: Dict[Tuple[int, int, int], object] = {}
-        self.coeffs: Dict[Tuple[int, int, int], Dict[Tuple[int, ...], PiScalar]] = {}
+        self.rounded: Dict[Tuple[int, int, int, int, str], float] = {}
+        self.coeffs: Dict[Tuple[int, int], Dict[Tuple[int, ...], PiScalar]] = {}
         self.box_weights: Dict[Tuple[int, int, int], Dict[Tuple[int, int], Rat]] = {}
         self.slot = _FIRST_SLOT
         self.bound_bits = 0
+        self.same_as: Tuple[str, bytes, int] | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def clear(self) -> None:
-        self.entries.clear()
-        self.slices.clear()
-        self.floats.clear()
-        self.coeffs.clear()
-        self.box_weights.clear()
-        self.slot = _FIRST_SLOT
-        self.bound_bits = 0
+        self.__init__()
+
+    def saved_in(self, path) -> bool:
+        """Whether `path` holds exactly this table: `same_as`, checked against the file's bytes now."""
+        if self.same_as is None or self.same_as[2] != len(self.entries):
+            return False
+        try:
+            with open(path, "rb") as fh:
+                return self.same_as == (os.path.realpath(path), _sha256(fh), len(self.entries))
+        except OSError:
+            return False
 
 
 _default_cache = BracketCache()
@@ -529,7 +537,7 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
     lines are streamed in one pass over the sorted keys, which builds the
     `v:c` text of each distinct nonzero part once.  The table goes to a
     temporary file beside `path` that then replaces it, so a failed write
-    leaves the previous file intact.
+    leaves the previous file intact.  It sets `cache.same_as`.
     """
     cache = _default_cache if cache is None else cache
     keys = sorted(cache.entries)
@@ -557,12 +565,23 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines())
+        with open(tmp, "rb") as fh:
+            digest = _sha256(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    cache.same_as = (os.path.realpath(path), digest, len(keys))
     return len(keys)
+
+
+def _sha256(fh) -> bytes:
+    """The sha256 of a binary file's bytes from where it stands, read in 64 KB chunks."""
+    h = hashlib.sha256()
+    while chunk := fh.read(1 << 16):
+        h.update(chunk)
+    return h.digest()
 
 
 # cache_load reads the table in line-aligned blocks of about this many
@@ -601,7 +620,8 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     it instead of parsing only if its tag and both its digests match.
     Trust: the digests catch staleness and accidental corruption; whoever
     can write the cache directory can already write a well-formed wrong
-    value into the text.  The collision check runs on both paths.
+    value into the text.  The collision check runs on both paths.  A
+    load that leaves the table equal to the file sets `cache.same_as`.
     """
     cache = _default_cache if cache is None else cache
     pieces: Pieces = {}
@@ -610,10 +630,7 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     try:
         # one handle to hash and parse, which a writer's replace leaves intact
         with open(path, "rb") as raw:
-            h = hashlib.sha256()
-            while chunk := raw.read(1 << 16):
-                h.update(chunk)
-            digest = h.digest()
+            digest = _sha256(raw)
             table = sidecar = _read_sidecar(path, digest)
             if sidecar is None:
                 raw.seek(0)
@@ -637,6 +654,8 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
         if sidecar is None and digest:
             _write_sidecar(path, digest, table)
         entries.update(table)
+        if digest and len(entries) == len(table):
+            cache.same_as = (os.path.realpath(path), digest, len(table))
     finally:
         if gc_enabled:
             gc.enable()

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import comb, factorial
-from typing import Dict, Union
+from math import comb, factorial, lcm
+from typing import Dict, List, Tuple, Union
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -63,6 +63,12 @@ def _coprime_rat(num: int, den: int) -> Rat:
     q._numerator = num
     q._denominator = den
     return q
+
+
+def _rat_sum(terms: List[Tuple[int, int]]) -> Rat:
+    """The sum of num/den over (num, den) pairs, den > 0: one Rat over the lcm of the dens."""
+    den = lcm(*(d for _, d in terms))
+    return Rat(sum(num * (den // d) for num, d in terms), den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -513,7 +514,8 @@ def cache_warm(
 ) -> WarmStats:
     """
     Compute (and persist, when a cache dir is configured) every bracket
-    with |d| <= 3g-3+n <= budget; idempotent across repeated runs.
+    with |d| <= 3g-3+n <= budget; idempotent across repeated runs, and a
+    file that already holds exactly the table is not written again.
     """
     cache = default_cache() if cache is None else cache
     budget = cfg.budget if budget is None else budget
@@ -533,7 +535,8 @@ def cache_warm(
     if cfg.cache_dir:
         os.makedirs(cfg.cache_dir, exist_ok=True)
         path = os.path.join(cfg.cache_dir, "brackets.txt")
-        cache_save(path, cache)
+        if not cache.saved_in(path):
+            cache_save(path, cache)
     return WarmStats(len(cache), len(cache) - before, seconds, path)
 
 
@@ -604,10 +607,10 @@ def run_experiment(name: str, cfg: LabConfig) -> List[ExperimentRow]:
 
 def rows_to_csv(rows: Iterable[ExperimentRow]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.as_record())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    rest = attrgetter(*CSV_COLUMNS[2:])
+    writer.writerows((row.experiment, render_input(row.input), *rest(row)) for row in rows)
     return buf.getvalue()
 
 

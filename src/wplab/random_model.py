@@ -17,15 +17,15 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from math import comb, factorial, prod
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 
-from .exact import NumInterval, PiPoly, Rat, eval_numeric
-from .brackets import BracketCache, _require_stable, default_cache, stable
+from .exact import NumInterval, PiPoly, Rat, _rat_sum, eval_numeric
+from .brackets import BracketCache, _cached_q, _require_stable, default_cache, stable
 from .topology import SplitPair, enumerate_splits, pairing_multiplicity
-from .volumes import _coeff_table, ratio_R, volume, volume_float
+from .volumes import partitions_upto, ratio_R, volume, volume_float
 
 __all__ = [
     "ARCSINH1",
@@ -42,7 +42,6 @@ __all__ = [
     "pvol2_sum",
     "two_curve_expectation_bound",
     "box_count_integral",
-    "simplex_monomial_integral",
 ]
 
 ARCSINH1 = math.asinh(1.0)
@@ -135,27 +134,38 @@ def box_count_integral(
     g: int, n: int, k: int, L: CutoffLength, cache: BracketCache | None = None
 ) -> PiPoly:
     """
-    Exact integral over [0, L]^k of V_{g,n}(x_1..x_k,0..0) prod x_i dx;
-    every monomial x^(2d+1) integrates to L^(2d+2)/(2d+2), so a partition
-    contributes coeff * arr(part, k) / (2^(k-len) prod (2v+2)) * (L^2)^(|part|+k).
-    The rational weights are summed per (|part|+k, pi-degree) before any
-    pi-arithmetic; they do not depend on L and are kept in
+    Exact integral over [0, L]^k of V_{g,n}(x_1..x_k,0..0) prod x_i dx.  A
+    part of s = |part| in l = len(part) variables has the coefficient
+    q / (4^s prod (2v+1)!), q = [prod tau_v]_{g,n}; x^(2v+1) integrates to
+    L^(2v+2)/(2v+2), so its weight is q arr(part, k) / (2^(2s+k-l) prod
+    (2v+2)!) on (L^2)^(s+k) at pi-degree 2(3g-3+n-s).  The weights are
+    summed per (s+k, pi-degree); they do not depend on L and are kept in
     `cache.box_weights` until `cache.clear()`.
     """
     cache = default_cache() if cache is None else cache
     groups = cache.box_weights.get((g, n, k))
     if groups is None:
-        groups = {}
-        for part, coeff in _coeff_table(g, n, k, cache).items():
-            den = 2 ** (k - len(part))
-            for v in part:
-                den *= 2 * v + 2
-            q = coeff.coeff
-            key = (sum(part) + k, coeff.pideg)
-            w = Rat(q.numerator * _arrangements(part, k), q.denominator * den)
-            groups[key] = groups.get(key, 0) + w
-        cache.box_weights[(g, n, k)] = groups
+        def form(part, s):
+            return s + k, 2 ** (2 * s + k - len(part)) * prod(factorial(2 * v + 2) for v in part)
+        groups = cache.box_weights[(g, n, k)] = _bracket_weights(g, n, k, form, cache)
     return _power_sum(groups, L.as_poly() ** 2)
+
+
+def _bracket_weights(g: int, n: int, k: int, form, cache: BracketCache | None) -> Dict[Tuple[int, int], Rat]:
+    """
+    {(m, pideg): sum of q(g, n, part) arr(part, k) / den} over the parts of
+    at most min(k, n) entries, (m, den) = form(part, |part|), pideg =
+    2(3g-3+n-|part|): one Rat per group, over the lcm of its denominators.
+    """
+    _require_stable(g, n)
+    top = 3 * g - 3 + n
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for part in partitions_upto(top, min(k, n)):
+        q = _cached_q(g, n, part, cache)
+        s = sum(part)
+        m, den = form(part, s)
+        groups.setdefault((m, 2 * (top - s)), []).append((q.numerator * _arrangements(part, k), q.denominator * den))
+    return {key: _rat_sum(terms) for key, terms in groups.items()}
 
 
 def _power_sum(groups: Dict[Tuple[int, int], Rat], base: PiPoly) -> PiPoly:
@@ -168,19 +178,6 @@ def _power_sum(groups: Dict[Tuple[int, int], Rat], base: PiPoly) -> PiPoly:
         at = m
         total = total + PiPoly({pideg: w}) * power
     return total
-
-
-def simplex_monomial_integral(exponents: Sequence[int]) -> Rat:
-    """
-    Rational factor of int_{sum x_i <= T} prod x_i^(a_i) dx: the value is
-    that factor times T^(sum a_i + k).
-    """
-    num = 1
-    s = 0
-    for a in exponents:
-        num *= factorial(a)
-        s += a
-    return Rat(num, factorial(s + len(exponents)))
 
 
 def expected_pants_count(
@@ -389,9 +386,12 @@ def two_curve_expectation_bound(
     cache: BracketCache | None = None,
 ) -> TwoCurveResult:
     """
-    Exact triangle integral (1/V_{g,n}) int_{x+y <= 2 pi C}
-    V_{g-1,n+1}(x,y,0,...) x y dx dy bounding the two-curve family that
-    cuts off one puncture; reported with the (g+n) normalization.
+    Exact triangle integral (1/V_{g,n}) int_{x+y <= T} V_{g-1,n+1}(x,y,0,...)
+    x y dx dy, T = 2 pi C, bounding the two-curve family that cuts off one
+    puncture; reported with the (g+n) normalization.  x^a y^b (a, b = 2d+1)
+    gives a! b! / (2s+4)! T^(2s+4); a! b! cancels the coefficient's, so a
+    part of s = |part| and at most min(2, n+1) entries (a 2-entry key on one
+    puncture is no bracket) weighs q arr(part, 2) / (4^s (2s+4)!).
     """
     if not stable(g - 1, n + 1) or not stable(g, n):
         raise ValueError(f"unstable signature ({g - 1},{n + 1}) or ({g},{n})")
@@ -401,13 +401,7 @@ def two_curve_expectation_bound(
     _ensure_budget(g, n, budget)
     _ensure_budget(g - 1, n + 1, budget)
     T = PiPoly({1: 2 * CF})  # 2 pi C
-    groups: Dict[Tuple[int, int], Rat] = {}
-    for part, coeff in _coeff_table(g - 1, n + 1, 2, cache).items():
-        exps = list(part) + [0] * (2 - len(part))
-        a, b = 2 * exps[0] + 1, 2 * exps[1] + 1
-        key = (a + b + 2, coeff.pideg)
-        w = coeff.coeff * simplex_monomial_integral((a, b)) * _arrangements(part, 2)
-        groups[key] = groups.get(key, 0) + w
+    groups = _bracket_weights(g - 1, n + 1, 2, lambda part, s: (2 * s + 4, 4 ** s * factorial(2 * s + 4)), cache)
     total = _power_sum(groups, T)
     vol = volume(g, n, cache)
     total = total * (1 / vol).to_poly()

@@ -13,18 +13,18 @@ in the undoubled boundary variables.  The constant term is V_{g,n}.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
 
-from .exact import PiPoly, PiScalar, Rat, _as_poly, _coeff_b_rat, eval_numeric
+from .exact import PiPoly, PiScalar, Rat, _as_poly, _rat_sum, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,
     _insert_sorted,
     _require_stable,
-    c_m,
     default_cache,
 )
 from .topology import SplitPair
@@ -87,9 +87,13 @@ def _volume_mid(g: int, n: int, digits: int, cache: BracketCache | None) -> mpma
 
 
 def volume_float(g: int, n: int, digits: int, cache: BracketCache | None = None) -> float:
-    """float(eval_numeric(volume(g, n), digits).mid()), from the memoized midpoint."""
-    # unary + rounds to the working precision, as mid() does
-    return float(+_volume_mid(g, n, digits, cache))
+    """float(eval_numeric(volume(g, n), digits).mid()), memoized per mpmath working precision and rounding."""
+    cache = default_cache() if cache is None else cache
+    key = (g, n, digits, *mpmath.mp._prec_rounding)
+    if key not in cache.rounded:
+        # unary + rounds to the working precision, as mid() does
+        cache.rounded[key] = float(+_volume_mid(g, n, digits, cache))
+    return cache.rounded[key]
 
 
 class VolumePolynomial:
@@ -188,33 +192,28 @@ def _int_add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _coeff_table(
-    g: int, n: int, max_parts: int, cache: BracketCache | None
-) -> Dict[Tuple[int, ...], PiScalar]:
+def _coeff_table(g: int, n: int, cache: BracketCache | None) -> Dict[Tuple[int, ...], PiScalar]:
     """
-    Nonzero coefficients of V_{g,n} on the monomials in at most max_parts
-    variables, i.e. of V_{g,n}(x_1..x_k, 0..0) for k = max_parts.  Built
-    at most once per table: the table is kept in `cache.coeffs` until
-    `cache.clear()` and is shared, so callers must not write into it.
+    Nonzero coefficients q(g, n, d) / (4^|d| prod (2 d_i + 1)!) of V_{g,n}
+    at pi-degree 2(3g-3+n-|d|), one per multiset d.  Built at most once per
+    table: it is kept in `cache.coeffs` under (g, n) until `cache.clear()`
+    and is shared, so callers must not write into it.
     """
     cache = default_cache() if cache is None else cache
-    key = (g, n, min(max_parts, n))
-    coeffs = cache.coeffs.get(key)
+    coeffs = cache.coeffs.get((g, n))
     if coeffs is not None:
         return coeffs
     _require_stable(g, n)
     budget = 3 * g - 3 + n
     coeffs = {}
-    for part in partitions_upto(budget, key[2]):
+    for part in partitions_upto(budget, n):
         s = sum(part)
         q = _cached_q(g, n, part, cache)
-        if q == 0:
-            continue
         den = 4 ** s
         for v in part:
             den *= factorial(2 * v + 1)
         coeffs[part] = PiScalar(Rat(q.numerator, q.denominator * den), 2 * (budget - s))
-    cache.coeffs[key] = coeffs
+    cache.coeffs[(g, n)] = coeffs
     return coeffs
 
 
@@ -223,14 +222,14 @@ def volume_poly(g: int, n: int, cache: BracketCache | None = None) -> VolumePoly
     Complete coefficient table of V_{g,n} over all |d| <= 3g-3+n.  The
     returned table is a copy that belongs to the caller.
     """
-    return VolumePolynomial(g, n, dict(_coeff_table(g, n, n, cache)))
+    return VolumePolynomial(g, n, dict(_coeff_table(g, n, cache)))
 
 
 def volume_at(
     g: int, n: int, lengths: Sequence, cache: BracketCache | None = None
 ) -> PiPoly:
     """Exact V_{g,n}(x_1,...,x_n) at exact boundary lengths."""
-    return VolumePolynomial(g, n, _coeff_table(g, n, n, cache)).at(lengths)
+    return VolumePolynomial(g, n, _coeff_table(g, n, cache)).at(lengths)
 
 
 def mz_ratio(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
@@ -253,15 +252,15 @@ def identity_check(
     """
     Exact check of (2g-2+n) V_{g,n} / V_{g,n+1} against the alternating
     sum (1/2) sum_{m=1}^{3g-2+n} (-1)^(m-1) b_m c_m(g,n).  Returns
-    (equal, residual); the residual is the exact difference.
+    (equal, residual); the residual, 2(2g-2+n) V_{g,n} - sum_m (-1)^(m-1)
+    m/(2m+1)! [tau_m tau_0^n]_{g,n+1} over 2 V_{g,n+1}, is exact.
     """
-    lhs = mz_ratio(g, n, cache)
-    rhs = Rat(0)
+    v = volume_rat(g, n, cache)
+    terms = [(2 * (2 * g - 2 + n) * v.numerator, v.denominator)]
     for m in range(1, 3 * g - 2 + n + 1):
-        # b_m c_m has pi-degree (2m-2) + (-2m) = -2 for every m
-        rhs += (-1) ** (m - 1) * _coeff_b_rat(m) * c_m(g, n, m, cache).coeff
-    rhs /= 2
-    residual = lhs - PiScalar(rhs, -2)
+        q = _cached_q(g, n + 1, (m,), cache)
+        terms.append(((-1) ** m * m * q.numerator, factorial(2 * m + 1) * q.denominator))
+    residual = PiScalar(_rat_sum(terms) / (2 * volume_rat(g, n + 1, cache)), -2)
     return residual.is_zero(), residual
 
 
@@ -297,16 +296,15 @@ def lratio_check(
     if split.m != m:
         raise ValueError(f"split has m={split.m}, expected {m}")
     chi = 2 * g - 2 + n
-    num = volume_rat(split.g1, split.n1, cache) * volume_rat(split.g2, split.n2, cache)
-    den = volume_rat(g, n, cache)
+    v1, v2, v = (volume_rat(*sig, cache) for sig in ((split.g1, split.n1), (split.g2, split.n2), (g, n)))
     # pi-degree of the ratio: 2*(3g1-3+n1 + 3g2-3+n2 - (3g-3+n)) = 2*(k-3)
-    pideg = 2 * (
-        (3 * split.g1 - 3 + split.n1)
-        + (3 * split.g2 - 3 + split.n2)
-        - (3 * g - 3 + n)
-    )
-    lhs = float(eval_numeric(PiScalar(num / den, pideg), digits).mid())
-    rhs = float(
-        Rat(m ** m * (chi - m) ** (chi - m), chi ** chi)
-    )
-    return lhs, rhs
+    pideg = 2 * (3 * (split.g1 + split.g2 - g) + split.n1 + split.n2 - n - 3)
+    ratio = Rat(v1.numerator * v2.numerator * v.denominator, v1.denominator * v2.denominator * v.numerator)
+    lhs = float(eval_numeric(PiScalar(ratio, pideg), digits).mid())
+    return lhs, _lratio_rhs(m, chi)
+
+
+@lru_cache(maxsize=None)
+def _lratio_rhs(m: int, chi: int) -> float:
+    """m^m (chi-m)^(chi-m) / chi^chi, the right side of `lratio_check`."""
+    return float(Rat(m ** m * (chi - m) ** (chi - m), chi ** chi))

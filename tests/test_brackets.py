@@ -476,18 +476,20 @@ def test_slot_width_follows_the_tracked_bound() -> None:
     assert cache.slot <= -(-cache.bound_bits // 8) * 8 + brackets._SLOT_HEADROOM
 
 
-def test_clear_empties_every_memo_and_resets_the_width() -> None:
+def test_clear_empties_every_memo_and_resets_the_width(tmp_path) -> None:
     # no memo may outlive the table it was read from: after clear() every
-    # dict the cache holds is empty and the slot width is the first one
+    # dict the cache holds is empty, the slot width is the first one and
+    # the table is known to equal no file
     cache = BracketCache()
-    cache_warm(LabConfig(budget=12), cache=cache)
+    cache_warm(LabConfig(budget=12, cache_dir=str(tmp_path)), cache=cache)
     volume_float(3, 4, 30, cache)
     volume_poly(2, 5, cache)
     box_count_integral(2, 4, 2, CutoffLength.rational(1), cache)
     memos = {name: v for name, v in vars(cache).items() if isinstance(v, dict)}
-    assert set(memos) == {"entries", "slices", "floats", "coeffs", "box_weights"}
+    assert set(memos) == {"entries", "slices", "floats", "rounded", "coeffs", "box_weights"}
     assert all(memos.values())
     assert cache.slot > brackets._FIRST_SLOT and cache.bound_bits > 0
+    assert cache.same_as is not None
     cache.clear()
     assert all(v == {} for v in vars(cache).values() if isinstance(v, dict))
-    assert (cache.slot, cache.bound_bits) == (brackets._FIRST_SLOT, 0)
+    assert (cache.slot, cache.bound_bits, cache.same_as) == (brackets._FIRST_SLOT, 0, None)

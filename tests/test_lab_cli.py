@@ -360,3 +360,46 @@ def test_sidecar_is_shared_across_processes(tmp_path) -> None:
         outputs.append((out.read_bytes(), sidecar.stat().st_ino, sidecar.read_bytes()))
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+
+
+def test_cache_warm_skips_only_a_save_that_would_rewrite_the_same_table(tmp_path) -> None:
+    cache_dir = tmp_path / "cache"
+    path = cache_dir / "brackets.txt"
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=4, cache_dir=str(cache_dir)), cache=cache)
+    small = path.read_bytes()
+    # a warm that adds nothing over the file it saved leaves the file alone
+    before = path.stat()
+    assert cache_warm(LabConfig(budget=4, cache_dir=str(cache_dir)), cache=cache).entries_new == 0
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # the table grows with no cache directory: the next warm adds nothing,
+    # yet the file holds only the budget-4 table and must be saved
+    cache_warm(LabConfig(budget=12), cache=cache)
+    assert cache_warm(LabConfig(budget=12, cache_dir=str(cache_dir)), cache=cache).entries_new == 0
+    assert path.read_bytes().count(b"\n") == 3322
+    # a fresh table never read from the file saves over it too
+    path.write_bytes(small)
+    fresh = BracketCache()
+    cache_warm(LabConfig(budget=12, cache_dir=str(cache_dir)), cache=fresh)
+    assert path.read_bytes().count(b"\n") == 3322
+    # and so does a table whose file was changed behind its back
+    full = path.read_bytes()
+    path.write_bytes(small)
+    cache_warm(LabConfig(budget=12, cache_dir=str(cache_dir)), cache=fresh)
+    assert path.read_bytes() == full
+
+
+def test_second_cache_warm_process_leaves_the_file_alone(tmp_path) -> None:
+    cache_dir = tmp_path / "cache"
+    golden = Path(__file__).resolve().parent / "golden" / "budget12" / "cache-warm.csv"
+    want = golden.read_text(encoding="utf-8").replace("<tmp>", str(cache_dir))
+    table = cache_dir / "brackets.txt"
+    seen = []
+    for run in range(2):
+        proc = _wplab(["cache-warm", "--budget", "12"], env_extra={"WPLAB_CACHE": str(cache_dir)})
+        assert proc.returncode == 0, proc.stderr
+        stat = table.stat()
+        seen.append((stat.st_ino, stat.st_mtime_ns))
+        # the second run loaded all 3 321 entries and added none
+        assert proc.stdout == (want if run == 0 else want.replace(",3321,3321,", ",3321,0,"))
+    assert seen[0] == seen[1]

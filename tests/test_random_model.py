@@ -21,12 +21,14 @@ from wplab.random_model import (
     poisson_lambda,
     pvol2_sum,
     second_moment_bound,
-    simplex_monomial_integral,
     two_curve_expectation_bound,
 )
 from wplab.topology import enumerate_splits, pairing_multiplicity
-from wplab.lab import LabConfig, _signature_grid
-from wplab.volumes import cor1_bound_check, volume, volume_at, volume_float, volume_poly
+from wplab.lab import LabConfig, _signature_grid, cache_warm
+from wplab.volumes import cor1_bound_check, identity_check, volume, volume_at, volume_float, volume_poly
+
+import reference_weights
+from reference_weights import simplex_monomial_integral
 
 
 def test_cutoff_parse_and_render() -> None:
@@ -271,9 +273,24 @@ def test_volume_float_is_the_certified_mid() -> None:
             want = float(eval_numeric(volume(g, n, cache), digits).mid())
             assert volume_float(g, n, digits, cache) == want
             assert volume_float(g, n, digits, cache) == want  # from the memo
-    assert len(cache.floats) == 2 * len(sigs)
+    assert len(cache.floats) == len(cache.rounded) == 2 * len(sigs)
     cache.clear()
-    assert cache.floats == {}
+    assert cache.floats == cache.rounded == {}
+
+
+def test_volume_float_follows_the_working_precision() -> None:
+    # float(+mid) rounds at the precision in force, so a float memoized at
+    # one precision must not answer at another, on the same table
+    cache = BracketCache()
+    sigs = [(2, 3), (3, 4), (4, 0), (0, 13)]
+    at53 = {sig: float(eval_numeric(volume(*sig, cache), 30).mid()) for sig in sigs}
+    with mpmath.workprec(200):
+        for sig in sigs:
+            want = float(eval_numeric(volume(*sig, cache), 30).mid())
+            assert volume_float(*sig, 30, cache) == want, sig
+    assert any(want != at53[sig] for sig in sigs)  # the two precisions do differ here
+    for sig in sigs:
+        assert volume_float(*sig, 30, cache) == at53[sig], sig
 
 
 def _ring_values(cache: BracketCache, g: int, n: int, L: CutoffLength, reset=lambda: None):
@@ -288,6 +305,35 @@ def _ring_values(cache: BracketCache, g: int, n: int, L: CutoffLength, reset=lam
         reset()
         out.append(call())
     return out
+
+
+@pytest.mark.parametrize("budget", [12, 16])
+def test_weights_and_residuals_match_the_coefficient_table_route(budget) -> None:
+    # the integer sums against the coefficient-table route they replaced,
+    # on every stable signature of a warmed table
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=budget), cache=cache)
+    sigs = [(g, n) for g in range(budget // 3 + 2) for n in range(budget + 4) if stable(g, n) and 3 * g - 3 + n <= budget]
+    L = CutoffLength.rational(1)
+    for g, n in sigs:
+        for k in range(1, 4):
+            box_count_integral(g, n, k, L, cache)
+            assert cache.box_weights[(g, n, k)] == reference_weights.box_weights(g, n, k, cache), (g, n, k)
+        if g >= 1 and stable(g - 1, n + 1):
+            for C in (Fraction(1, 20), Fraction(1, 7)):
+                got = two_curve_expectation_bound(g, n, C, cache=cache).exact
+                assert got == reference_weights.two_curve_exact(g, n, C, cache), (g, n, C)
+        if 3 * g - 2 + n <= budget:
+            assert identity_check(g, n, cache)[1] == reference_weights.identity_residual(g, n, cache), (g, n)
+
+
+def test_expectation_integrals_build_no_coefficient_table() -> None:
+    # the box and triangle weights read the brackets straight from the table
+    cache = BracketCache()
+    box_count_integral(2, 5, 3, CutoffLength.rational(1), cache)
+    two_curve_expectation_bound(3, 2, Fraction(1, 20), cache=cache)
+    assert cache.box_weights and cache.entries
+    assert cache.coeffs == {}
 
 
 def test_memoized_tables_match_cold_builds() -> None:
