@@ -85,6 +85,7 @@ import io
 import marshal
 import os
 import re
+import struct
 import sys
 from collections import defaultdict
 from functools import lru_cache
@@ -595,7 +596,7 @@ _INT = r"(-?[1-9][0-9]*|0)"
 _LINE_RE = re.compile(rf"^{_INT}\|([^|\n]*)\|[^\S\n]*{_INT}/([1-9][0-9]*|0)\*pi\^{_INT}[^\S\n]*$", re.M)
 
 
-def cache_load(path, cache: BracketCache | None = None) -> int:
+def cache_load(path, cache: BracketCache | None = None, rank: int | None = None) -> int:
     """
     Load entries, verifying the version header, that each key is written
     as `cache_save` writes it (the genus and each `v:c` number in ASCII
@@ -610,18 +611,24 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
     (AssertionError, the first in file order).  Each distinct `v:c` piece
     is decoded once per call.  Returns entries read.
 
+    With `rank`, only the keys with at most `rank` nonzero exponents go
+    into the table, in file order, and only they are checked for a
+    collision; every check on the text, or on its sidecar, still covers
+    the whole file.  The default reads every key.
+
     Values are built with no second normalization: the positivity and
     lowest-terms checks make num/den equal to `Fraction(num, den)`.  The
     cyclic collector is paused for the call and restored as found, also on
     a fault: the load makes only acyclic objects, which a collection never frees.
 
     A load that parsed every line and raised nothing writes a derived
-    sidecar `<path>.idx`, bound to the text's sha256; a later load reads
-    it instead of parsing only if its tag and both its digests match.
-    Trust: the digests catch staleness and accidental corruption; whoever
-    can write the cache directory can already write a well-formed wrong
-    value into the text.  The collision check runs on both paths.  A
-    load that leaves the table equal to the file sets `cache.same_as`.
+    sidecar `<path>.idx` of the whole table, split by rank and bound to the
+    text's sha256; a later load reads only the ranks it asks for from it,
+    and only if its tag and both its digests match.  Trust: the digests
+    catch staleness and accidental corruption; whoever can write the cache
+    directory can already write a well-formed wrong value into the text.
+    The collision check runs on both paths.  A load that leaves the table
+    equal to the file sets `cache.same_as`.
     """
     cache = _default_cache if cache is None else cache
     pieces: Pieces = {}
@@ -631,20 +638,24 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
         # one handle to hash and parse, which a writer's replace leaves intact
         with open(path, "rb") as raw:
             digest = _sha256(raw)
-            table = sidecar = _read_sidecar(path, digest)
+            sidecar = _read_sidecar(path, digest, rank)
             if sidecar is None:
                 raw.seek(0)
                 fh = io.TextIOWrapper(raw, encoding="utf-8")
                 header = fh.readline().rstrip("\n")
                 if header != CACHE_VERSION:
                     raise ValueError(f"cache version mismatch: {header!r}")
-                table = {}
+                full = {}
                 try:
                     while block := fh.read(_BLOCK):
-                        _load_block(block + fh.readline(), table, pieces, {})
+                        _load_block(block + fh.readline(), full, pieces, {})
                 except ValueError:
                     # an undecodable byte too; a second read binds no sidecar
-                    table, digest = _load_lines(path, pieces), None
+                    full, digest = _load_lines(path, pieces), None
+                count = len(full)
+                table = full if rank is None else {k: v for k, v in full.items() if len(k[2]) <= rank}
+            else:
+                table, count = sidecar
         entries = cache.entries
         if entries:
             for key, value in table.items():
@@ -652,44 +663,87 @@ def cache_load(path, cache: BracketCache | None = None) -> int:
                 if old is not None and old != value:
                     raise AssertionError(f"cache collision at {key}: {old} != {value}")
         if sidecar is None and digest:
-            _write_sidecar(path, digest, table)
+            _write_sidecar(path, digest, full)
         entries.update(table)
-        if digest and len(entries) == len(table):
-            cache.same_as = (os.path.realpath(path), digest, len(table))
+        if digest and len(entries) == len(table) == count:
+            cache.same_as = (os.path.realpath(path), digest, count)
     finally:
         if gc_enabled:
             gc.enable()
     return len(table)
 
 
-# the sidecar: this tag, the sha256 of the text and of the payload, then the payload,
-# (keys, numerators, denominators) in marshal format 2, whose write keeps no ref table
-_IDX_TAG = f"{CACHE_VERSION} idx1 {sys.implementation.cache_tag} marshal 2\n".encode()
+# The sidecar: this tag, the sha256 of the text and of the rest, then the
+# rest: a header (the entry count and the number of blobs R + 1, then each
+# blob's size, as little-endian 8-byte words; then the file's order as one
+# rank byte per entry), then blob r = 0..R, the (keys, numerators,
+# denominators) of the entries with r nonzero exponents in file order, in
+# marshal format 2, whose write keeps no ref table.
+_IDX_TAG = f"{CACHE_VERSION} idx2 {sys.implementation.cache_tag} marshal 2\n".encode()
 
 
-def _read_sidecar(path, digest: bytes) -> Dict[Key, Rat] | None:
-    """The table in `<path>.idx` if it is bound to text of sha256 `digest`, else None."""
+def _read_sidecar(path, digest: bytes, rank: int | None) -> Tuple[Dict[Key, Rat], int] | None:
+    """
+    The entries of at most `rank` nonzero exponents (all by default) in
+    `<path>.idx`, in file order, and the file's entry count, if the
+    sidecar is bound to text of sha256 `digest`; else None.
+    """
     try:
         with open(f"{path}.idx", "rb") as fh:
             data = fh.read()
         at, view = len(_IDX_TAG) + 64, memoryview(data)
         if data[: at - 32] != _IDX_TAG + digest or hashlib.sha256(view[at:]).digest() != data[at - 32 : at]:
             return None
-        keys, nums, dens = marshal.loads(view[at:])
-        return dict(zip(keys, map(_coprime_rat, nums, dens)))
-    except (OSError, ValueError, TypeError, EOFError):
+        count, blobs = struct.unpack_from("<2Q", data, at)
+        sizes = struct.unpack_from(f"<{blobs}Q", data, at + 16)
+        at += 16 + 8 * blobs
+        order = data[at : at + count]
+        at += count
+        if at + sum(sizes) != len(data):
+            return None
+        # one (key, value) stream per rank read; the file's order picks from them
+        streams = []
+        for size in sizes if rank is None else sizes[: rank + 1]:
+            keys, nums, dens = marshal.loads(view[at : at + size])
+            at += size
+            streams.append(zip(keys, map(_coprime_rat, nums, dens)))
+        if rank is not None:
+            order = order.translate(None, bytes(range(rank + 1, 256)))
+        table = dict(map(next, map(streams.__getitem__, order)))
+        # a stream that ran out ends the dict early
+        return (table, count) if len(table) == len(order) else None
+    except (OSError, ValueError, TypeError, EOFError, IndexError, struct.error):
         return None
 
 
 def _write_sidecar(path, digest: bytes, table: Dict[Key, Rat]) -> None:
-    """`<path>.idx` for `table`, checked from text of sha256 `digest`; a failed write leaves no file."""
+    """
+    `<path>.idx` for `table`, checked from text of sha256 `digest`; a
+    failed write leaves no file, and a key of 256 or more nonzero
+    exponents, which a rank byte cannot hold, leaves none either.
+    """
+    try:
+        order = bytes(len(key[2]) for key in table)
+    except ValueError:
+        return
+    columns: List[Tuple[List[Key], List[int], List[int]]] = [([], [], []) for _ in range(max(order, default=0) + 1)]
+    # the parse built every value with `_coprime_rat`, so its slots hold
+    # what the `numerator` and `denominator` properties would return
+    for r, (key, value) in zip(order, table.items()):
+        keys, nums, dens = columns[r]
+        keys.append(key)
+        nums.append(value._numerator)
+        dens.append(value._denominator)
+    blobs = [marshal.dumps(c, 2) for c in columns]
+    header = struct.pack(f"<{len(blobs) + 2}Q", len(order), len(blobs), *map(len, blobs)) + order
+    h = hashlib.sha256(header)
+    for blob in blobs:
+        h.update(blob)
     tmp = f"{path}.idx.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            values = table.values()
-            payload = marshal.dumps((list(table), [v.numerator for v in values], [v.denominator for v in values]), 2)
-            fh.write(_IDX_TAG + digest + hashlib.sha256(payload).digest())
-            fh.write(payload)
+            fh.write(_IDX_TAG + digest + h.digest() + header)
+            fh.writelines(blobs)
         os.replace(tmp, f"{path}.idx")
     except OSError:
         if os.path.exists(tmp):

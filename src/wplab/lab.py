@@ -572,6 +572,23 @@ EXPERIMENTS: Dict[str, Callable[[LabConfig], List[ExperimentRow]]] = {
 HARD_CHECK_EXPERIMENTS = {"identity"}
 # experiments that read no bracket: `run_experiment` loads no table for them
 TABLE_FREE_EXPERIMENTS = {"geometry-constants"}
+# the most nonzero exponents in a bracket each experiment reads, fixed by
+# its formula: volumes and their ratios and split sums (0), the identity's
+# [tau_m]_{g,n+1} (1), the two-curve triangle and second-moment weights (2)
+# and the factorial moments' box weights over k <= 3 variables (3).
+# `run_experiment` loads only those keys; cache-warm loads the whole table.
+EXPERIMENT_RANKS = {
+    "volume-table": 0,
+    "mz-ratio": 0,
+    "ratio-R": 0,
+    "lratio": 0,
+    "pvol2": 0,
+    "cheeger-upper": 0,
+    "identity": 1,
+    "two-curve": 2,
+    "second-moment": 2,
+    "poisson-moments": 3,
+}
 
 EXPERIMENT_DOCS = {
     "volume-table": "exact V_{g,n}; deviation = ratio to the factorial-growth envelope; PASS iff ratio <= recorded cap",
@@ -590,14 +607,32 @@ EXPERIMENT_DOCS = {
 
 
 def run_experiment(name: str, cfg: LabConfig) -> List[ExperimentRow]:
+    """
+    The rows of experiment `name` under `cfg`, sorted by input.  With a
+    cache directory that holds `brackets.txt`, the default table first
+    loads the keys of at most `EXPERIMENT_RANKS[name]` nonzero exponents
+    from it (none for `TABLE_FREE_EXPERIMENTS`).  It loads the whole file
+    for an experiment with no rank, and also when the largest 3g-3+n among
+    the volumes the table then holds is below `cfg.budget`, so that the
+    kernel builds on every entry the file holds.  Raises KeyError on an
+    unknown name.
+    """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     if cfg.cache_dir and name not in TABLE_FREE_EXPERIMENTS:
         persisted = Path(cfg.cache_dir) / "brackets.txt"
         if persisted.is_file():
-            cache_load(persisted)
+            rank = EXPERIMENT_RANKS.get(name)
+            cache_load(persisted, rank=rank)
+            if rank is not None and _top_dimension(default_cache()) < cfg.budget:
+                cache_load(persisted)
     rows = EXPERIMENTS[name](cfg)
     return sorted(rows, key=lambda r: r.input)
+
+
+def _top_dimension(cache: BracketCache) -> int:
+    """The largest 3g-3+n among the volumes V_{g,n} the table holds; -1 for none."""
+    return max((3 * g - 3 + n for g, n, dnz in cache.entries if not dnz), default=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 entries in the same order, the same exception and message on corrupt
 files, a failed load that changes nothing, and a bounded transient peak;
 then values equal to `Fraction(num, den)` in every respect, and the
-cyclic collector paused during a load and left as it was found.
+cyclic collector paused during a load and left as it was found; then the
+sidecar, and loads limited to a rank, which give the reference's entries
+of at most that many nonzero exponents, in file order.
 """
 
 import gc
 import hashlib
 import marshal
 import re
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -454,14 +457,33 @@ STALE = {
     ),
     "payload-byte-flipped": lambda path, idx: idx.write_bytes(_flip_payload_byte(idx.read_bytes())),
     "truncated": lambda path, idx: idx.write_bytes(idx.read_bytes()[:-100]),
-    "foreign-tag": lambda path, idx: idx.write_bytes(idx.read_bytes().replace(b"idx1", b"idx9", 1)),
+    "foreign-tag": lambda path, idx: idx.write_bytes(
+        idx.read_bytes().replace(brackets._IDX_TAG, brackets._IDX_TAG.upper(), 1)
+    ),
     "garbage-after-header": lambda path, idx: idx.write_bytes(
         idx.read_bytes()[: len(brackets._IDX_TAG) + 64] + b"\x00garbage" * 100
     ),
     # payloads that pass their digest but do not unmarshal to a table
     "garbage-with-its-digest": lambda path, idx: idx.write_bytes(_bound(path, b"\x00garbage" * 100)),
     "wrong-shape-with-its-digest": lambda path, idx: idx.write_bytes(_bound(path, marshal.dumps((1, 2), 2))),
+    # a true header and blobs, then one byte more, under a true digest
+    "blob-sizes-short-of-the-payload": lambda path, idx: idx.write_bytes(
+        _bound(path, idx.read_bytes()[len(brackets._IDX_TAG) + 64 :] + b"\x00")
+    ),
+    # the single-blob layout before the rank split, under its own tag
+    "previous-format": lambda path, idx: idx.write_bytes(_previous_format(path)),
 }
+
+
+def _previous_format(path) -> bytes:
+    """The text's table in the one-blob sidecar layout, with both its digests true."""
+    table = BracketCache()
+    reference_load(path, table)
+    values = table.entries.values()
+    payload = marshal.dumps((list(table.entries), [v.numerator for v in values], [v.denominator for v in values]), 2)
+    tag = brackets._IDX_TAG.replace(b" idx2 ", b" idx1 ")
+    sha = hashlib.sha256
+    return tag + sha(path.read_bytes()).digest() + sha(payload).digest() + payload
 
 
 def _bound(path, payload: bytes) -> bytes:
@@ -481,7 +503,10 @@ def test_stale_or_corrupt_sidecar_falls_back_to_the_parse(name, table_text, tmp_
     reference = BracketCache()
     reference_load(path, reference)
     cache = BracketCache()
-    assert cache_load(path, cache) == 3321
+    with monkeypatch.context() as m:
+        parses = _counting_parse(m)
+        assert cache_load(path, cache) == 3321
+    assert parses, "the sidecar was read"
     _same_tables(cache.entries, reference.entries)
     if name == "text-changed":
         assert cache.entries[(0, 3, ())] == 3
@@ -607,3 +632,137 @@ def test_first_load_transient_memory_is_bounded(table_text, tmp_path) -> None:
     assert len(cache) == 3321
     assert _idx(path).is_file()
     assert peak - current < 500_000, f"transient peak {peak - current} bytes"
+
+
+# ---------------------------------------------------------------------------
+# Rank-limited loads: only the keys of at most `rank` nonzero exponents
+# ---------------------------------------------------------------------------
+
+
+def _within(items, rank):
+    return [(key, value) for key, value in items if len(key[2]) <= rank]
+
+
+def _counting_parse(monkeypatch) -> list:
+    """Counts the calls of `_load_block`, which only the parse makes."""
+    calls = []
+    load_block = brackets._load_block
+
+    def counted(*args):
+        calls.append(1)
+        return load_block(*args)
+
+    monkeypatch.setattr(brackets, "_load_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 11, 12, 40])
+def test_rank_limited_load_is_the_reference_filtered(rank, table_text, tmp_path, monkeypatch) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    reference = BracketCache()
+    reference_load(path, reference)
+    want = _within(reference.entries.items(), rank)
+    parses = _counting_parse(monkeypatch)
+    # the parse, then the sidecar it wrote, then a load into a table that
+    # already holds two of the entries, which keep their place
+    for expect_parse in (True, False, False):
+        cache = BracketCache()
+        held = [want[-1], want[0]] if not expect_parse and len(want) > 1 else []
+        cache.entries.update(held)
+        before = len(parses)
+        assert cache_load(path, cache, rank=rank) == len(want)
+        assert (len(parses) > before) is expect_parse
+        expected = held + [item for item in want if item not in held]
+        assert list(cache.entries.items()) == expected
+        _same_tables(cache.entries, dict(expected))
+    # the sidecar a rank-limited parse wrote holds every rank
+    monkeypatch.setattr(brackets, "_load_block", _no_parse)
+    full = BracketCache()
+    assert cache_load(path, full) == 3321
+    _same_tables(full.entries, reference.entries)
+
+
+def test_rank_limited_load_sets_no_same_as(table_text, tmp_path) -> None:
+    from test_golden import BRACKETS_SHA256
+
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    for sidecar in (False, True):
+        assert _idx(path).is_file() is sidecar
+        cache = BracketCache()
+        assert cache_load(path, cache, rank=2) == 1047
+        assert cache.same_as is None and not cache.saved_in(path)
+    # a later warm into that table builds the rest and still saves it
+    inode = path.stat().st_ino
+    stats = cache_warm(LabConfig(budget=12, cache_dir=str(tmp_path)), cache=cache)
+    assert stats.entries_total == 3321
+    assert path.stat().st_ino != inode
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BRACKETS_SHA256
+    # a rank that covers every key loads the whole file, and records it
+    cache = BracketCache()
+    assert cache_load(path, cache, rank=12) == 3321
+    assert cache.saved_in(path)
+
+
+def test_collision_on_a_loaded_rank_names_the_first_in_file_order(table_text, tmp_path) -> None:
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    reference = BracketCache()
+    reference_load(path, reference)
+    keys = list(reference.entries)
+    first_rank_3 = next(i for i, key in enumerate(keys) if len(key[2]) == 3)
+    rank_1 = [i for i, key in enumerate(keys) if len(key[2]) == 1 and i > first_rank_3]
+    # wrong values held for two rank-1 keys, the later one first, and for a
+    # rank-3 key before both in the file
+    wrong = [keys[rank_1[-1]], keys[rank_1[0]], keys[first_rank_3]]
+    for sidecar in (False, True):
+        assert _idx(path).is_file() is sidecar
+        for rank, named in ((0, None), (1, keys[rank_1[0]]), (3, keys[first_rank_3])):
+            cache = BracketCache()
+            cache.entries.update((key, reference.entries[key] + 1) for key in wrong)
+            before = list(cache.entries.items())
+            if named is None:
+                assert cache_load(path, cache, rank=rank) == 47
+                continue
+            with pytest.raises(AssertionError, match=re.escape(f"cache collision at {named}: ")):
+                cache_load(path, cache, rank=rank)
+            assert list(cache.entries.items()) == before
+        # a clean load writes the sidecar for the second round
+        cache_load(path, BracketCache(), rank=0)
+
+
+def test_corrupt_unread_rank_falls_back_to_the_parse(table_text, tmp_path, monkeypatch) -> None:
+    # a rank-0 load reads only the first blob, yet checks the digest over
+    # all of them: a byte flipped in the last (highest-rank) blob is caught
+    path = tmp_path / "brackets.txt"
+    path.write_text(table_text, encoding="utf-8", newline="")
+    cache_load(path, BracketCache())
+    idx = _idx(path)
+    data = idx.read_bytes()
+    at = len(brackets._IDX_TAG) + 64
+    count, blobs = struct.unpack_from("<2Q", data, at)
+    last = struct.unpack_from("<Q", data, at + 16 + 8 * (blobs - 1))[0]
+    assert (count, blobs) == (3321, 13) and last > 2
+    flip = len(data) - last // 2
+    idx.write_bytes(data[:flip] + bytes([data[flip] ^ 1]) + data[flip + 1 :])
+    reference = BracketCache()
+    reference_load(path, reference)
+    parses = _counting_parse(monkeypatch)
+    cache = BracketCache()
+    assert cache_load(path, cache, rank=0) == 47
+    assert parses
+    assert list(cache.entries.items()) == _within(reference.entries.items(), 0)
+    # the parse wrote the sidecar again, and it now matches
+    assert idx.read_bytes() == data
+
+
+def test_key_of_rank_256_loads_with_no_sidecar(tmp_path) -> None:
+    # a well-formed key with more nonzero exponents than a rank byte holds
+    path = tmp_path / "brackets.txt"
+    path.write_text(HEADER + "0|1:256,0:3|1/1*pi^0\n", encoding="utf-8")
+    cache = BracketCache()
+    assert cache_load(path, cache) == 1
+    assert list(cache.entries) == [(0, 259, (1,) * 256)]
+    assert not _idx(path).exists()
+    assert cache_load(path, BracketCache(), rank=255) == 0

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from wplab import brackets, lab
 from wplab.brackets import BracketCache, cache_load
 from wplab.lab import (
+    EXPERIMENT_RANKS,
     EXPERIMENTS,
+    TABLE_FREE_EXPERIMENTS,
     LabConfig,
     cache_warm,
     load_config_file,
@@ -403,3 +406,59 @@ def test_second_cache_warm_process_leaves_the_file_alone(tmp_path) -> None:
         # the second run loaded all 3 321 entries and added none
         assert proc.stdout == (want if run == 0 else want.replace(",3321,3321,", ",3321,0,"))
     assert seen[0] == seen[1]
+
+
+def test_every_experiment_has_a_rank_reads_no_table_or_loads_in_full() -> None:
+    ranked, free = set(EXPERIMENT_RANKS), set(TABLE_FREE_EXPERIMENTS)
+    assert ranked | free | {"cache-warm"} == set(EXPERIMENTS)
+    assert not ranked & free and "cache-warm" not in ranked | free
+    assert set(EXPERIMENT_RANKS.values()) <= {0, 1, 2, 3}
+
+
+@pytest.fixture(scope="module", params=[12, 16])
+def persisted(request, tmp_path_factory):
+    """(budget, cache directory holding that budget's table)."""
+    cache_dir = tmp_path_factory.mktemp(f"ranks{request.param}")
+    cache_warm(LabConfig(budget=request.param, cache_dir=str(cache_dir)), cache=BracketCache())
+    return request.param, cache_dir
+
+
+def test_rank_limited_load_builds_no_slice_and_keeps_the_csv(persisted, monkeypatch) -> None:
+    budget, cache_dir = persisted
+    cfg = LabConfig(budget=budget, cache_dir=str(cache_dir))
+    for name, rank in EXPERIMENT_RANKS.items():
+        monkeypatch.setattr(brackets, "_default_cache", BracketCache())
+        partial = rows_to_csv(run_experiment(name, cfg))
+        table = brackets.default_cache()
+        assert max(len(key[2]) for key in table.entries) == rank, name
+        assert not table.slices, f"{name} built {len(table.slices)} slices"
+        # the same bytes from the whole table
+        monkeypatch.setattr(brackets, "_default_cache", BracketCache())
+        cache_load(cache_dir / "brackets.txt")
+        assert rows_to_csv(run_experiment(name, cfg)) == partial, name
+
+
+def test_table_short_of_the_budget_is_loaded_in_full(tmp_path, monkeypatch) -> None:
+    cache_warm(LabConfig(budget=8, cache_dir=str(tmp_path)), cache=BracketCache())
+    file = BracketCache()
+    cache_load(tmp_path / "brackets.txt", file)
+    volumes = [item for item in file.entries.items() if not item[0][2]]
+    ranks = []
+
+    def load(path, cache=None, rank=None):
+        ranks.append(rank)
+        return cache_load(path, cache, rank)
+
+    monkeypatch.setattr(lab, "cache_load", load)
+    # at budget 8 only the volumes; at 10 every entry of the file, beside
+    # what the kernel adds
+    for budget, loads in ((8, [0]), (10, [0, None])):
+        ranks.clear()
+        table = BracketCache()
+        monkeypatch.setattr(brackets, "_default_cache", table)
+        run_experiment("volume-table", LabConfig(budget=budget, cache_dir=str(tmp_path)))
+        assert ranks == loads
+        if budget == 8:
+            assert list(table.entries.items()) == volumes
+        else:
+            assert file.entries.items() <= table.entries.items() and len(table) > len(file)
