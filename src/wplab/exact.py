@@ -19,13 +19,15 @@ from mpmath.libmp import (
     dps_to_prec,
     from_int,
     fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
     mpf_pi,
-    mpi_add,
-    mpi_div,
-    mpi_mul,
+    mpf_shift,
     mpi_pow_int,
     round_ceiling,
     round_floor,
+    to_float,
 )
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "PiPoly",
     "NumInterval",
     "eval_numeric",
+    "eval_float",
     "bernoulli",
     "zeta_even",
     "coeff_a",
@@ -416,9 +419,10 @@ class NumInterval:
         return f"NumInterval({self.lo!r}, {self.hi!r})"
 
 
-def _mpi_int(x: int, prec: int):
-    """The interval iv.convert builds for an integer at working precision prec."""
-    return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+def _int_bounds(x: int, prec: int):
+    """x rounded to prec bits by floor and by ceiling; one rounding when x fits, as both are then x."""
+    lo = from_int(x, prec, round_floor)
+    return (lo, lo) if x.bit_length() <= prec else (lo, from_int(x, prec, round_ceiling))
 
 
 @lru_cache(maxsize=None)
@@ -428,15 +432,11 @@ def _pi_pow(prec: int, k: int):
     return mpi_pow_int(pi, k, prec)
 
 
-def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
+def _bounds(x, precision_digits: int):
     """
-    Certified enclosure of an exact value (PiScalar, PiPoly, Rat or int).
-    Each term q_k pi^k is enclosed with mpmath's outward-rounding interval
-    primitives at the working precision of precision_digits + 10 decimal
-    digits, and the terms are summed the same way, so the true real value
-    is always contained; width shrinks as precision grows.  No global
-    state is read or set: mp.dps and iv.dps are left alone, and calls
-    from several threads do not interfere.
+    The raw mpf endpoints (lo, hi) of eval_numeric(x, precision_digits), by
+    the correctly rounded calls that mpmath's interval division, product
+    and sum make on each term, in their order: bit-identical to theirs.
     """
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
@@ -448,10 +448,45 @@ def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
             raise TypeError(f"cannot evaluate {type(x).__name__}")
         terms = poly.terms.items()
     prec = dps_to_prec(precision_digits + 10)
-    total = (fzero, fzero)
+    lo = hi = None
     for k, q in terms:
-        t = mpi_div(_mpi_int(q.numerator, prec), _mpi_int(q.denominator, prec), prec)
+        n_lo, n_hi = _int_bounds(q.numerator, prec)
+        d_lo, d_hi = _int_bounds(q.denominator, prec)
+        p_lo, p_hi = _pi_pow(prec, k) if k else (None, None)
+        if n_lo[0]:  # q < 0: each endpoint takes the other bound of den and pi^k
+            d_lo, d_hi, p_lo, p_hi = d_hi, d_lo, p_hi, p_lo
+        a = mpf_div(n_lo, d_hi, prec, round_floor)
+        b = mpf_div(n_hi, d_lo, prec, round_ceiling)
         if k:
-            t = mpi_mul(t, _pi_pow(prec, k), prec)
-        total = mpi_add(total, t, prec)
-    return NumInterval(mp.make_mpf(total[0]), mp.make_mpf(total[1]))
+            a, b = mpf_mul(a, p_lo, prec, round_floor), mpf_mul(b, p_hi, prec, round_ceiling)
+        if lo is None:  # 0 + a rounds to a itself, as a fits in prec bits
+            lo, hi = a, b
+        else:
+            lo, hi = mpf_add(lo, a, prec, round_floor), mpf_add(hi, b, prec, round_ceiling)
+    return (fzero, fzero) if lo is None else (lo, hi)
+
+
+def eval_numeric(x, precision_digits: int = 30) -> NumInterval:
+    """
+    Certified enclosure of an exact value (PiScalar, PiPoly, Rat or int).
+    Each term q_k pi^k is enclosed with correctly rounded `mpmath.libmp`
+    primitives (floor below, ceiling above) at the working precision of
+    precision_digits + 10 decimal digits, and the terms are summed the
+    same way, so the true real value is always contained; width shrinks
+    as precision grows.  No global state is read or set: mp.dps and
+    iv.dps are left alone, and calls from several threads do not interfere.
+    """
+    lo, hi = _bounds(x, precision_digits)
+    return NumInterval(mp.make_mpf(lo), mp.make_mpf(hi))
+
+
+def eval_float(x, precision_digits: int = 30) -> float:
+    """
+    float(eval_numeric(x, precision_digits).mid()), bit for bit, and the
+    same errors, with no interval built: the endpoints are added at
+    mpmath's working precision and rounding, halved exactly and rounded
+    to a float in that mode, as mid() and float() do.
+    """
+    lo, hi = _bounds(x, precision_digits)
+    prec, rounding = mp._prec_rounding
+    return to_float(mpf_shift(mpf_add(lo, hi, prec, rounding), -1), rnd=rounding)

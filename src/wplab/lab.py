@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import recorded
-from .exact import PiScalar, eval_numeric
+from .exact import PiScalar, eval_float, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,
@@ -212,7 +212,7 @@ def _exp_mz_ratio(cfg: LabConfig) -> List[ExperimentRow]:
     def one(sig):
         g, n = sig
         v = mz_ratio(g, n)
-        num = float(eval_numeric(v, cfg.digits).mid())
+        num = eval_float(v, cfg.digits)
         dev = abs(num - inv4pi2)
         if n >= 1:
             chi = 2 * g - 2 + n

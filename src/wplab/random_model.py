@@ -17,12 +17,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 
-from .exact import NumInterval, PiPoly, Rat, _rat_sum, eval_numeric
+from .exact import NumInterval, PiPoly, Rat, _rat_sum, eval_float, eval_numeric
 from .brackets import BracketCache, _cached_q, _require_stable, default_cache, stable
 from .topology import SplitPair, enumerate_splits, pairing_multiplicity
 from .volumes import partitions_upto, ratio_R, volume, volume_float
@@ -130,6 +131,24 @@ def _arrangements(part: Tuple[int, ...], k: int) -> int:
     return factorial(k) // d
 
 
+@lru_cache(maxsize=None)
+def _weight_factors(top: int, kmax: int, k: int, triangle: bool) -> Tuple[tuple, ...]:
+    """
+    (part, (m, 2(top - s)), arr(part, k), den) over partitions_upto(top,
+    kmax), s = |part|: (m, den) = (s + k, 2^(2s+k-len(part)) prod (2v+2)!)
+    for a box weight and (2s + 4, 4^s (2s+4)!) for a triangle weight.
+    """
+    out = []
+    for part in partitions_upto(top, kmax):
+        s = sum(part)
+        if triangle:
+            m, den = 2 * s + 4, 4 ** s * factorial(2 * s + 4)
+        else:
+            m, den = s + k, 2 ** (2 * s + k - len(part)) * prod(factorial(2 * v + 2) for v in part)
+        out.append((part, (m, 2 * (top - s)), _arrangements(part, k), den))
+    return tuple(out)
+
+
 def box_count_integral(
     g: int, n: int, k: int, L: CutoffLength, cache: BracketCache | None = None
 ) -> PiPoly:
@@ -145,26 +164,21 @@ def box_count_integral(
     cache = default_cache() if cache is None else cache
     groups = cache.box_weights.get((g, n, k))
     if groups is None:
-        def form(part, s):
-            return s + k, 2 ** (2 * s + k - len(part)) * prod(factorial(2 * v + 2) for v in part)
-        groups = cache.box_weights[(g, n, k)] = _bracket_weights(g, n, k, form, cache)
+        groups = cache.box_weights[(g, n, k)] = _bracket_weights(g, n, k, False, cache)
     return _power_sum(groups, L.as_poly() ** 2)
 
 
-def _bracket_weights(g: int, n: int, k: int, form, cache: BracketCache | None) -> Dict[Tuple[int, int], Rat]:
+def _bracket_weights(g: int, n: int, k: int, triangle: bool, cache: BracketCache | None) -> Dict[Tuple[int, int], Rat]:
     """
-    {(m, pideg): sum of q(g, n, part) arr(part, k) / den} over the parts of
-    at most min(k, n) entries, (m, den) = form(part, |part|), pideg =
-    2(3g-3+n-|part|): one Rat per group, over the lcm of its denominators.
+    {(m, pideg): sum of q(g, n, part) arr / den} over the parts of at most
+    min(k, n) entries, with the factors of `_weight_factors`: one Rat per
+    group, over the lcm of its denominators.
     """
     _require_stable(g, n)
-    top = 3 * g - 3 + n
     groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for part in partitions_upto(top, min(k, n)):
+    for part, key, arr, den in _weight_factors(3 * g - 3 + n, min(k, n), k, triangle):
         q = _cached_q(g, n, part, cache)
-        s = sum(part)
-        m, den = form(part, s)
-        groups.setdefault((m, 2 * (top - s)), []).append((q.numerator * _arrangements(part, k), q.denominator * den))
+        groups.setdefault(key, []).append((q.numerator * arr, q.denominator * den))
     return {key: _rat_sum(terms) for key, terms in groups.items()}
 
 
@@ -401,9 +415,9 @@ def two_curve_expectation_bound(
     _ensure_budget(g, n, budget)
     _ensure_budget(g - 1, n + 1, budget)
     T = PiPoly({1: 2 * CF})  # 2 pi C
-    groups = _bracket_weights(g - 1, n + 1, 2, lambda part, s: (2 * s + 4, 4 ** s * factorial(2 * s + 4)), cache)
+    groups = _bracket_weights(g - 1, n + 1, 2, True, cache)
     total = _power_sum(groups, T)
     vol = volume(g, n, cache)
     total = total * (1 / vol).to_poly()
-    value = float(eval_numeric(total, digits).mid())
+    value = eval_float(total, digits)
     return TwoCurveResult(total, value, value * (g + n))

@@ -18,8 +18,9 @@ from math import factorial, lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
+from mpmath.libmp import mpf_add, mpf_shift
 
-from .exact import PiPoly, PiScalar, Rat, _as_poly, _rat_sum, eval_numeric
+from .exact import PiPoly, PiScalar, Rat, _as_poly, _rat_sum, eval_float, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,
@@ -82,7 +83,7 @@ def _volume_mid(g: int, n: int, digits: int, cache: BracketCache | None) -> mpma
     mid = cache.floats.get(key)
     if mid is None:
         box = eval_numeric(volume(g, n, cache), digits)
-        mid = cache.floats[key] = mpmath.ldexp(mpmath.fadd(box.lo, box.hi, exact=True), -1)
+        mid = cache.floats[key] = mpmath.mp.make_mpf(mpf_shift(mpf_add(box.lo._mpf_, box.hi._mpf_, 0), -1))
     return mid
 
 
@@ -300,7 +301,7 @@ def lratio_check(
     # pi-degree of the ratio: 2*(3g1-3+n1 + 3g2-3+n2 - (3g-3+n)) = 2*(k-3)
     pideg = 2 * (3 * (split.g1 + split.g2 - g) + split.n1 + split.n2 - n - 3)
     ratio = Rat(v1.numerator * v2.numerator * v.denominator, v1.denominator * v2.denominator * v.numerator)
-    lhs = float(eval_numeric(PiScalar(ratio, pideg), digits).mid())
+    lhs = eval_float(PiScalar(ratio, pideg), digits)
     return lhs, _lratio_rhs(m, chi)
 
 

@@ -202,6 +202,34 @@ def test_eval_numeric_matches_iv_context_oracle() -> None:
             assert _same_endpoints(box, _iv_context_oracle(x, digits)), (x, digits)
 
 
+def test_eval_float_is_the_float_of_the_mid_bit_for_bit() -> None:
+    values = _oracle_values() + [0, 12, rat(355, 113)]
+
+    def bits(x, digits: int):
+        got = exact.eval_float(x, digits)
+        assert type(got) is float
+        return got.hex(), float(eval_numeric(x, digits).mid()).hex()
+
+    for x in values:
+        for digits in _ORACLE_DIGITS:
+            got, want = bits(x, digits)
+            assert got == want, (x, digits)
+    assert exact.eval_float(0, 30).hex() == (0.0).hex()
+    # mid() adds at mpmath's working precision and rounding, and float()
+    # rounds in that mode; below 53 bits the floats themselves change
+    at53 = [bits(x, 40)[0] for x in values]
+    for context in (mpmath.workprec(200), mpmath.workdps(10)):
+        with context:
+            pairs = [bits(x, 40) for x in values]
+        assert all(got == want for got, want in pairs)
+    assert any(got != old for (got, _), old in zip(pairs, at53))
+    for x, digits, error in ((rat(1, 3), 0, ValueError), (1.5, 30, TypeError), ("1", 30, TypeError)):
+        with pytest.raises(error) as want:
+            eval_numeric(x, digits)
+        with pytest.raises(error, match=str(want.value)):
+            exact.eval_float(x, digits)
+
+
 def test_eval_numeric_keeps_global_precision() -> None:
     x = PiPoly({3: rat(-5, 11), -2: rat(10 ** 200, 7)})
     want = _iv_context_oracle(x, 30)

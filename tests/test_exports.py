@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 from types import ModuleType
 
 import wplab
@@ -23,3 +24,15 @@ def test_package_reexports_only_module_exports() -> None:
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public and public <= exported, sorted(public - exported)
+
+
+def test_every_name_the_traced_benchmark_wraps_resolves(monkeypatch) -> None:
+    # perfbench's traced run swaps each (module, attr) of WRAPS for a
+    # timing wrapper through getattr, so a missing name ends that run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert {(mod.__name__, attr) for mod, attr, _ in workloads.WRAPS} >= {
+        (f"wplab.{mod}", "eval_numeric") for mod in ("exact", "lab", "volumes", "random_model")
+    }
+    for mod, attr, _ in workloads.WRAPS:
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"

@@ -2,11 +2,12 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from wplab import brackets, lab
+from wplab import brackets, lab, random_model
 from wplab.brackets import BracketCache, cache_load
 from wplab.lab import (
     EXPERIMENT_RANKS,
@@ -462,3 +463,27 @@ def test_table_short_of_the_budget_is_loaded_in_full(tmp_path, monkeypatch) -> N
             assert list(table.entries.items()) == volumes
         else:
             assert file.entries.items() <= table.entries.items() and len(table) > len(file)
+
+
+def test_weight_factor_memo_stays_bounded_over_every_experiment(persisted, monkeypatch) -> None:
+    # the memo is keyed by (top, kmax, k, kind), top = 3g-3+n <= budget:
+    # 9 box keys (kmax <= k <= 3) and 2 triangle keys (kmax 1, 2) per top
+    budget, cache_dir = persisted
+    memo = random_model._weight_factors
+    memo.cache_clear()
+    tracemalloc.start()
+    try:
+        for name in EXPERIMENTS:
+            if name != "cache-warm":
+                monkeypatch.setattr(brackets, "_default_cache", BracketCache())
+                run_experiment(name, LabConfig(budget=budget, cache_dir=str(cache_dir)))
+        monkeypatch.setattr(brackets, "_default_cache", BracketCache())
+        size = memo.cache_info().currsize
+        held = tracemalloc.get_traced_memory()[0]
+        memo.cache_clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < size <= 11 * (budget + 1)
+    # it holds about 18 KB at budget 12 and 46 KB at budget 16
+    assert held < 256 * 1024

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference_mid
+from wplab.brackets import BracketCache, stable
 from wplab.exact import PiPoly, PiScalar, eval_numeric, rat
+from wplab.lab import LabConfig, cache_warm
 from wplab.topology import SplitPair
 from wplab.volumes import (
     cor1_bound_check,
@@ -16,6 +19,7 @@ from wplab.volumes import (
     ratio_R,
     volume,
     volume_at,
+    volume_float,
     volume_poly,
 )
 
@@ -217,3 +221,17 @@ def test_partitions_enumeration() -> None:
     assert parts == [(), (1,), (1, 1), (2,), (2, 1), (3,)]
     assert list(partitions_upto(0, 5)) == [()]
     assert len(list(partitions_upto(4, 1))) == 5
+
+
+def test_volume_midpoints_match_the_exact_fadd_route() -> None:
+    # every volume of a budget-16 table: the memoized midpoint against
+    # mpmath's exact fadd and ldexp of the same enclosure
+    cache = BracketCache()
+    cache_warm(LabConfig(budget=16), cache=cache)
+    sigs = [(g, n) for g in range(7) for n in range(20) if stable(g, n) and 3 * g - 3 + n <= 16]
+    for digits in (30, 100):
+        for g, n in sigs:
+            volume_float(g, n, digits, cache)
+            want = reference_mid.volume_mid(g, n, digits, cache)
+            assert cache.floats[(g, n, digits)]._mpf_ == want._mpf_, (g, n, digits)
+    assert len(cache.floats) == 2 * len(sigs) > 100
