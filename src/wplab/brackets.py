@@ -58,11 +58,11 @@ slice at hand, so no digit of an overflowed slot is ever read.  A
 negative entry cannot be packed: it raises AssertionError naming its key.
 
 The BracketCache keeps the slices beside the table they are read from,
-and beside them the read path's memos: each volume's certified midpoint
-(`floats`) and its float per working precision (`rounded`), coefficient
-tables by (g, n) (`coeffs`) and box-integral weights (`box_weights`).  An
-entry already in the table wins over the value a slice recomputes, and a
-slice whose entries are all in the table is read, not computed.
+and beside them the read path's memos: each volume's certified float per
+working precision (`floats`), coefficient tables by (g, n) (`coeffs`)
+and box-integral weights (`box_weights`).  An entry already in the table
+wins over the value a slice recomputes, and a slice whose entries are
+all in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
 exponent lists against it.  `_cached_q` is the one entry into the
@@ -163,12 +163,12 @@ class BracketCache:
     raising on a key already held with another value.
     `slices` holds the kernel's packed slice vectors, built from `entries`
     only, in `slot`-bit slots; `bound_bits` is the bit length of the
-    largest bound checked against that width.  The read path keeps four
+    largest bound checked against that width.  The read path keeps three
     memos beside them, filled by `volumes` and `random_model`: `floats`
-    maps (g, n, digits) to the midpoint (an mpmath `mpf`) of the certified
-    enclosure of V_{g,n} at that many digits, and `rounded` that key and
-    mpmath's (precision, rounding) to its float; `coeffs` maps (g, n) to
-    the nonzero coefficients of V_{g,n}; `box_weights` maps (g, n, k) to
+    maps (g, n, digits) and mpmath's (precision, rounding) to the float of
+    the midpoint of the certified enclosure of V_{g,n} at that many digits,
+    as `eval_float` gives it; `coeffs` maps (g, n) to the nonzero
+    coefficients of V_{g,n}; `box_weights` maps (g, n, k) to
     the cutoff-free weights {(m, pideg): w} of the box integral over k
     variables.  A table entry never changes once added, so every memo, and
     `same_as` while the count holds, stays valid until `clear()` makes the
@@ -179,8 +179,7 @@ class BracketCache:
     def __init__(self):
         self.entries: Dict[Key, Rat] = {}
         self.slices: Dict[Key, Slice] = {}
-        self.floats: Dict[Tuple[int, int, int], object] = {}
-        self.rounded: Dict[Tuple[int, int, int, int, str], float] = {}
+        self.floats: Dict[Tuple[int, int, int, int, str], float] = {}
         self.coeffs: Dict[Tuple[int, int], Dict[Tuple[int, ...], PiScalar]] = {}
         self.box_weights: Dict[Tuple[int, int, int], Dict[Tuple[int, int], Rat]] = {}
         self.slot = _FIRST_SLOT

@@ -246,7 +246,7 @@ class PiScalar:
         return f"PiScalar({self.render()})"
 
     def __float__(self) -> float:
-        return float(eval_numeric(self, 30).mid())
+        return eval_float(self, 30)
 
 
 def _as_scalar(x) -> "PiScalar":
@@ -371,7 +371,7 @@ class PiPoly:
         return f"PiPoly({self.render()})"
 
     def __float__(self) -> float:
-        return float(eval_numeric(self, 30).mid())
+        return eval_float(self, 30)
 
 
 def _as_poly(x) -> "PiPoly":

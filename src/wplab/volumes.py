@@ -18,7 +18,6 @@ from math import factorial, lcm
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import mpf_add, mpf_shift
 
 from .exact import PiPoly, PiScalar, Rat, _as_poly, _rat_sum, eval_float, eval_numeric
 from .brackets import (
@@ -73,28 +72,13 @@ def volume(g: int, n: int, cache: BracketCache | None = None) -> PiScalar:
     return PiScalar(volume_rat(g, n, cache), 2 * (3 * g - 3 + n))
 
 
-def _volume_mid(g: int, n: int, digits: int, cache: BracketCache | None) -> mpmath.mpf:
-    """
-    The exact midpoint of eval_numeric(volume(g, n), digits), evaluated at
-    most once per table: it is kept in `cache.floats` until `cache.clear()`.
-    """
-    cache = default_cache() if cache is None else cache
-    key = (g, n, digits)
-    mid = cache.floats.get(key)
-    if mid is None:
-        box = eval_numeric(volume(g, n, cache), digits)
-        mid = cache.floats[key] = mpmath.mp.make_mpf(mpf_shift(mpf_add(box.lo._mpf_, box.hi._mpf_, 0), -1))
-    return mid
-
-
 def volume_float(g: int, n: int, digits: int, cache: BracketCache | None = None) -> float:
-    """float(eval_numeric(volume(g, n), digits).mid()), memoized per mpmath working precision and rounding."""
+    """eval_float(volume(g, n), digits), memoized per mpmath working precision and rounding."""
     cache = default_cache() if cache is None else cache
     key = (g, n, digits, *mpmath.mp._prec_rounding)
-    if key not in cache.rounded:
-        # unary + rounds to the working precision, as mid() does
-        cache.rounded[key] = float(+_volume_mid(g, n, digits, cache))
-    return cache.rounded[key]
+    if key not in cache.floats:
+        cache.floats[key] = eval_float(volume(g, n, cache), digits)
+    return cache.floats[key]
 
 
 class VolumePolynomial:
@@ -273,12 +257,13 @@ def cor1_bound_check(
     Finite and positive on every stable signature.
     """
     chi = 2 * g - 2 + n
-    mid = _volume_mid(g, n, digits, cache)
     with mpmath.workdps(digits):
+        # mid() rounds the exact midpoint once, at these digits
+        mid = eval_numeric(volume(g, n, cache), digits).mid()
         denom = mpmath.mpf(factorial(2 * g - 3 + n)) * (4 * mpmath.pi ** 2) ** (
             2 * g - 3 + n
         )
-        return float(+mid * mpmath.sqrt(chi) / denom)
+        return float(mid * mpmath.sqrt(chi) / denom)
 
 
 def lratio_check(

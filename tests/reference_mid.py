@@ -2,7 +2,8 @@
 The midpoint of a volume's certified enclosure as `wplab` took it before
 it added the raw endpoints itself: mpmath's exact `fadd` of the two
 endpoints of `eval_numeric`, halved by `ldexp`.  Kept as an oracle for
-the midpoints that `volumes.volume_float` memoizes in `cache.floats`.
+the midpoints that `volumes.volume_float` and `volumes.cor1_bound_check`
+round.
 """
 
 from __future__ import annotations

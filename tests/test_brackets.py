@@ -486,7 +486,7 @@ def test_clear_empties_every_memo_and_resets_the_width(tmp_path) -> None:
     volume_poly(2, 5, cache)
     box_count_integral(2, 4, 2, CutoffLength.rational(1), cache)
     memos = {name: v for name, v in vars(cache).items() if isinstance(v, dict)}
-    assert set(memos) == {"entries", "slices", "floats", "rounded", "coeffs", "box_weights"}
+    assert set(memos) == {"entries", "slices", "floats", "coeffs", "box_weights"}
     assert all(memos.values())
     assert cache.slot > brackets._FIRST_SLOT and cache.bound_bits > 0
     assert cache.same_as is not None

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -36,3 +37,22 @@ def test_every_name_the_traced_benchmark_wraps_resolves(monkeypatch) -> None:
     }
     for mod, attr, _ in workloads.WRAPS:
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
+
+
+def test_no_unused_import_in_src() -> None:
+    # no linter runs here: every name a module imports must be read in it
+    unused = []
+    for path in sorted(Path(wplab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, unused

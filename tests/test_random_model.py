@@ -9,7 +9,7 @@ import pytest
 
 from wplab import random_model, volumes
 from wplab.brackets import BracketCache, bracket, stable
-from wplab.exact import PiPoly, PiScalar, eval_numeric, rat
+from wplab.exact import PiPoly, PiScalar, eval_float, eval_numeric, rat
 from wplab.random_model import (
     ARCSINH1,
     BudgetExceeded,
@@ -272,23 +272,25 @@ def test_volume_float_is_the_certified_mid() -> None:
         for g, n in sigs:
             want = float(eval_numeric(volume(g, n, cache), digits).mid())
             assert volume_float(g, n, digits, cache) == want
+            assert cache.floats[(g, n, digits, *mpmath.mp._prec_rounding)] == want
             assert volume_float(g, n, digits, cache) == want  # from the memo
-    assert len(cache.floats) == len(cache.rounded) == 2 * len(sigs)
+    assert len(cache.floats) == 2 * len(sigs)
     cache.clear()
-    assert cache.floats == cache.rounded == {}
+    assert cache.floats == {}
 
 
 def test_volume_float_follows_the_working_precision() -> None:
-    # float(+mid) rounds at the precision in force, so a float memoized at
+    # the midpoint rounds at the precision in force, so a float memoized at
     # one precision must not answer at another, on the same table
     cache = BracketCache()
     sigs = [(2, 3), (3, 4), (4, 0), (0, 13)]
     at53 = {sig: float(eval_numeric(volume(*sig, cache), 30).mid()) for sig in sigs}
-    with mpmath.workprec(200):
-        for sig in sigs:
-            want = float(eval_numeric(volume(*sig, cache), 30).mid())
-            assert volume_float(*sig, 30, cache) == want, sig
-    assert any(want != at53[sig] for sig in sigs)  # the two precisions do differ here
+    for prec in (200, 30):
+        with mpmath.workprec(prec):
+            want = {sig: float(eval_numeric(volume(*sig, cache), 30).mid()) for sig in sigs}
+            for sig in sigs:
+                assert volume_float(*sig, 30, cache) == want[sig], (sig, prec)
+    assert any(want[sig] != at53[sig] for sig in sigs)  # below 53 bits the floats do differ
     for sig in sigs:
         assert volume_float(*sig, 30, cache) == at53[sig], sig
 
@@ -364,9 +366,10 @@ def test_writing_a_volume_poly_leaves_the_memo_alone() -> None:
     assert _ring_values(cache, 1, 2, L) == want
 
 
-def test_cor1_bound_reads_the_memoized_mid(monkeypatch) -> None:
+def test_cor1_bound_is_a_direct_mid_from_one_enclosure(monkeypatch) -> None:
     # a volume-table row: volume_float, then cor1_bound_check at the same
-    # digits, evaluates V_{g,n} once and gives the value of a direct mid()
+    # digits; the check builds one enclosure of V_{g,n} and gives the
+    # value of a direct mid()
     seen = []
 
     def counted(x, digits=30):
@@ -391,13 +394,15 @@ def test_split_sums_evaluate_each_volume_once(monkeypatch) -> None:
 
     def counted(x, digits=30):
         seen.append((x.coeff, x.pideg, digits))
-        return eval_numeric(x, digits)
+        return eval_float(x, digits)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("split sums evaluate volumes only through volume_float")
 
-    monkeypatch.setattr(volumes, "eval_numeric", counted)
+    monkeypatch.setattr(volumes, "eval_float", counted)
+    monkeypatch.setattr(volumes, "eval_numeric", forbidden)
     monkeypatch.setattr(random_model, "eval_numeric", forbidden)
+    monkeypatch.setattr(random_model, "eval_float", forbidden)
     cache = BracketCache()
     grid = [(g, n) for g, n in _signature_grid(LabConfig(budget=12)) if 2 * g - 2 + n >= 2]
     for g, n in grid:
@@ -405,13 +410,13 @@ def test_split_sums_evaluate_each_volume_once(monkeypatch) -> None:
         if g >= 1:
             pvol2_sum(g, n, 0.05, 30, 12, cache)
     assert len(seen) == len(set(seen)) == len(cache.floats)
-    assert {(g, n) for g, n, _ in cache.floats} >= set(grid)
+    assert {(g, n) for g, n, *_ in cache.floats} >= set(grid)
 
 
 def test_budget_checked_before_the_float_memo() -> None:
     cache = BracketCache()
     cheeger_prob_upper(2, 4, 0.05, 30, None, cache)
-    assert (2, 4, 30) in cache.floats and (1, 3, 30) in cache.floats
+    assert {key[:3] for key in cache.floats} >= {(2, 4, 30), (1, 3, 30)}
     with pytest.raises(BudgetExceeded, match=r"\(2,4\) needs budget 7 > 6"):
         cheeger_prob_upper(2, 4, 0.05, 30, 6, cache)
     with pytest.raises(BudgetExceeded, match=r"\(1,3\) needs budget 3 > 2"):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import reference_mid
@@ -224,14 +225,30 @@ def test_partitions_enumeration() -> None:
 
 
 def test_volume_midpoints_match_the_exact_fadd_route() -> None:
-    # every volume of a budget-16 table: the memoized midpoint against
-    # mpmath's exact fadd and ldexp of the same enclosure
+    # every volume of a budget-16 table, at two working precisions and in
+    # every rounding mode: volume_float and cor1_bound_check against
+    # mpmath's exact fadd and ldexp of the same enclosure, in the mode in force
     cache = BracketCache()
     cache_warm(LabConfig(budget=16), cache=cache)
     sigs = [(g, n) for g in range(7) for n in range(20) if stable(g, n) and 3 * g - 3 + n <= 16]
-    for digits in (30, 100):
-        for g, n in sigs:
-            volume_float(g, n, digits, cache)
-            want = reference_mid.volume_mid(g, n, digits, cache)
-            assert cache.floats[(g, n, digits)]._mpf_ == want._mpf_, (g, n, digits)
-    assert len(cache.floats) == 2 * len(sigs) > 100
+    seen = {}
+    prec_rounding = mpmath.mp._prec_rounding  # the list every mpf reads its rounding from
+    saved = prec_rounding[1]
+    try:
+        for prec, mode in itertools.product((53, 200), "nfcdu"):
+            prec_rounding[1] = mode
+            with mpmath.workprec(prec):
+                for digits, (g, n) in itertools.product((30, 100), sigs):
+                    mid = reference_mid.volume_mid(g, n, digits, cache)
+                    chi = 2 * g - 2 + n
+                    want = [float(+mid).hex()]  # rounded at the working precision
+                    with mpmath.workdps(digits):
+                        denom = mpmath.mpf(math.factorial(chi - 1)) * (4 * mpmath.pi ** 2) ** (chi - 1)
+                        want.append(float(+mid * mpmath.sqrt(chi) / denom).hex())
+                    got = volume_float(g, n, digits, cache).hex(), cor1_bound_check(g, n, digits, cache).hex()
+                    assert got == tuple(want), (g, n, digits, prec, mode)
+                    seen.setdefault((g, n, digits), set()).add(got)
+    finally:
+        prec_rounding[1] = saved
+    assert len(cache.floats) == 20 * len(sigs) > 1000
+    assert any(len(v) > 1 for v in seen.values())  # the modes do round differently here
