@@ -65,9 +65,11 @@ wins over the value a slice recomputes, and a slice whose entries are
 all in the table is read, not computed.
 
 `stable` is the signature rule, and `canonical_key` validates public
-exponent lists against it.  `_cached_q` is the one entry into the
-recursion: it takes a canonical key, answers it from the slice that leaves
+exponent lists against it.  `_cached_q` is the entry into the recursion
+by key: it takes a canonical key, answers it from the slice that leaves
 out its largest entry, and reads an unstable or over-full key as zero.
+`lab.cache_warm` enters it by slice: it drives `_slice` over the
+canonical bases of each signature, one call per slice, not per key.
 
 The closed surface case n = 0 is unreachable by the recursion and is
 produced from the (g, 1) slice through the alternating-sum identity
@@ -93,7 +95,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat, _coprime_rat, _render_term
+from .exact import PiScalar, Rat, _coeff_a_rat, _coeff_b_rat, _coprime_rat
 
 __all__ = [
     "BracketCache",
@@ -223,14 +225,22 @@ def _slice(key: Key, cache: BracketCache) -> Slice:
         top = 3 * g - 3 + n - sum(base)
         if top < 0:
             return _EMPTY
-        keys = [key] + [(g, n, _insert_sorted(base, k)) for k in range(1, top + 1)]
+        # one pass: k goes in after the i entries above it, i falling as k rises
+        keys = [key]
+        i = len(base)
+        for k in range(1, top + 1):
+            while i and base[i - 1] <= k:
+                i -= 1
+            keys.append((g, n, base[:i] + (k,) + base[i:]))
         memo = cache.entries
         values = [memo.get(k) for k in keys]
         if any(v is None for v in values):
             T_num, a, den = _slice_values(g, n, base, top, cache)
             for k, v in enumerate(values):
                 if v is None:
-                    values[k] = memo.setdefault(keys[k], Rat(sum(map(mul, T_num[k:], a)), den))
+                    num = sum(map(mul, T_num[k:], a))
+                    c = gcd(num, den)
+                    values[k] = memo.setdefault(keys[k], _coprime_rat(num // c, den // c))
         nums, den = _over_lcm(values)
         if min(nums) < 0:
             i = next(i for i, x in enumerate(nums) if x < 0)
@@ -398,8 +408,8 @@ def _a_table(m: int) -> Tuple[Tuple[int, ...], int]:
 
 def _over_lcm(values: List[Rat]) -> Tuple[Tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    den = lcm(*(v._denominator for v in values))
+    return tuple(v._numerator * (den // v._denominator) for v in values), den
 
 
 def _insert_sorted(base: Tuple[int, ...], x: int) -> Tuple[int, ...]:
@@ -540,7 +550,8 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
     leaves the previous file intact.  It sets `cache.same_as`.
     """
     cache = _default_cache if cache is None else cache
-    keys = sorted(cache.entries)
+    entries = cache.entries
+    keys = sorted(entries)
     # nonzero part -> (its `v:c` text, that text and a comma if nonempty, size, sum)
     parts: Dict[Tuple[int, ...], Tuple[str, str, int, int]] = {}
 
@@ -555,9 +566,10 @@ def cache_save(path, cache: BracketCache | None = None) -> int:
             text, head, size, total = part
             counts = f"{head}0:{n - size}" if n > size else text
             pideg = 2 * (3 * g - 3 + n - total)
-            value = cache.entries[key]
-            if type(value) is Rat and value:
-                yield f"{g}|{counts}|{_render_term(value, pideg)}\n"
+            value = entries[key]
+            # a Fraction's slots, read without its properties
+            if type(value) is Rat and value._numerator:
+                yield f"{g}|{counts}|{value._numerator}/{value._denominator}*pi^{pideg}\n"
             else:  # a zero, an int or a non-number, by PiScalar's rules
                 yield f"{g}|{counts}|{PiScalar(value, pideg).render()}\n"
 

@@ -117,7 +117,8 @@ def main(argv=None) -> int:
         if not existed:
             os.unlink(args.out)
 
-    if cfg.budget > BUDGET_HARD_WARNING:
+    # only cache-warm builds the whole closure; the others compute what they read
+    if args.experiment == "cache-warm" and cfg.budget > BUDGET_HARD_WARNING:
         print(
             f"wplab: warning: budget {cfg.budget} > {BUDGET_HARD_WARNING}; "
             "the bracket closure grows steeply",

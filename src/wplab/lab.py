@@ -31,6 +31,7 @@ from .exact import PiScalar, eval_float, eval_numeric
 from .brackets import (
     BracketCache,
     _cached_q,
+    _slice,
     cache_load,
     cache_save,
     default_cache,
@@ -516,11 +517,22 @@ def cache_warm(
     Compute (and persist, when a cache dir is configured) every bracket
     with |d| <= 3g-3+n <= budget; idempotent across repeated runs, and a
     file that already holds exactly the table is not written again.
+
+    The warm drives slices, not keys.  Key d is read from the slice
+    (g, n, d minus its largest entry), so the closure of a stable (g, n),
+    n >= 1, is the union of the slices over the bases B (at most n-1
+    nonzero entries) with |B| + B[0] <= 3g-3+n, plus the empty base,
+    which holds V_{g,n} and the [tau_k]_{g,n}.  A base is built only when
+    the table lacks one of the keys read from it, so a loaded table that
+    already covers the budget builds no slice.  For n = 0, V_{g,0} comes
+    from `_q_closed`; the (g, 1) empty base after it adds back the V_{g,1}
+    that it drops.
     """
     cache = default_cache() if cache is None else cache
     budget = cfg.budget if budget is None else budget
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    memo = cache.entries
     before = len(cache)
     t0 = time.perf_counter()
     for g in range(0, budget // 3 + 2):
@@ -528,8 +540,15 @@ def cache_warm(
         for n in range(0, nmax + 1):
             if not stable(g, n):
                 continue
-            for part in partitions_upto(3 * g - 3 + n, n):
-                _cached_q(g, n, part, cache)
+            top = 3 * g - 3 + n
+            _cached_q(g, n, (), cache)
+            # a nonempty base: its largest entry v, then at most n-2 more
+            # entries, none above v, with the sum of all plus v at most top
+            for v in range(1, top // 2 + 1) if n > 1 else ():
+                for rest in partitions_upto(top - 2 * v, n - 2, v):
+                    base = (v,) + rest
+                    if any((g, n, (k,) + base) not in memo for k in range(v, top - v - sum(rest) + 1)):
+                        _slice((g, n, base), cache)
     seconds = time.perf_counter() - t0
     path = None
     if cfg.cache_dir:

@@ -45,8 +45,11 @@ __all__ = [
 ]
 
 
-def partitions_upto(max_sum: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
-    """Non-increasing positive tuples with sum <= max_sum, length <= max_parts."""
+def partitions_upto(max_sum: int, max_parts: int, cap: int | None = None) -> Iterator[Tuple[int, ...]]:
+    """
+    Non-increasing positive tuples with sum <= max_sum, length <= max_parts
+    and entries <= cap (default max_sum), in lexicographic order.
+    """
     yield ()
 
     def rec(prefix: List[int], cap: int, rem: int, slots: int):
@@ -58,7 +61,7 @@ def partitions_upto(max_sum: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
             yield from rec(prefix, v, rem - v, slots - 1)
             prefix.pop()
 
-    yield from rec([], max_sum, max_sum, max_parts)
+    yield from rec([], max_sum if cap is None else cap, max_sum, max_parts)
 
 
 def volume_rat(g: int, n: int, cache: BracketCache | None = None) -> Rat:

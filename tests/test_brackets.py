@@ -493,3 +493,46 @@ def test_clear_empties_every_memo_and_resets_the_width(tmp_path) -> None:
     cache.clear()
     assert all(v == {} for v in vars(cache).values() if isinstance(v, dict))
     assert (cache.slot, cache.bound_bits, cache.same_as) == (brackets._FIRST_SLOT, 0, None)
+
+
+def _dilaton_failures(q, max_dim: int) -> tuple[int, list]:
+    """
+    The Do-Norbury dilaton relation at beta = 0, over every stable (g, n)
+    with n >= 1 and 3g-3+n <= max_dim:
+    sum_{j >= 1} 2j (-4)^(j-1) q(g,n+1,(j,)) / (4^j (2j+1)!) = (2g-2+n) q(g,n,()).
+    Returns (relations checked, the (g, n) where it fails).
+    """
+    count, failures = 0, []
+    for g in range(max_dim // 3 + 2):
+        for n in range(1, max_dim - 3 * g + 4):
+            if not brackets.stable(g, n):
+                continue
+            lhs = sum(
+                rat(2 * j * (-4) ** (j - 1), 4**j * math.factorial(2 * j + 1)) * q(g, n + 1, (j,))
+                for j in range(1, 3 * g - 2 + n + 1)
+            )
+            count += 1
+            if lhs != (2 * g - 2 + n) * q(g, n, ()):
+                failures.append((g, n))
+    return count, failures
+
+
+@pytest.fixture(scope="module")
+def demand23() -> BracketCache:
+    """A table that the dilaton tests fill by demand, empty at first."""
+    return BracketCache()
+
+
+def test_dilaton_relation_past_the_sha256_pins(demand23) -> None:
+    # by demand from an empty table, up to dimension 23, where slots reach
+    # 264 bits; n = 0 is the identity that `_q_closed` is built on
+    assert _dilaton_failures(lambda g, n, dnz: brackets._cached_q(g, n, dnz, demand23), 23) == (124, [])
+    assert demand23.slot == 264
+
+
+def test_dilaton_relation_catches_one_wrong_bracket(demand23) -> None:
+    def q(g, n, dnz):
+        value = brackets._cached_q(g, n, dnz, demand23)
+        return value * rat(3, 2) if (g, n, dnz) == (5, 9, (4,)) else value
+
+    assert _dilaton_failures(q, 23) == (124, [(5, 8)])

@@ -3,8 +3,11 @@ import importlib
 import pkgutil
 from pathlib import Path
 from types import ModuleType
+from typing import Dict, List
 
 import wplab
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _modules():
@@ -56,3 +59,54 @@ def test_no_unused_import_in_src() -> None:
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert not unused, unused
+
+
+def _sources() -> Dict[Path, str]:
+    return {path: path.read_text() for d in ("src", "tests", "perfbench") for path in sorted((REPO / d).rglob("*.py"))}
+
+
+def _unreferenced(sources: Dict[Path, str]) -> List[str]:
+    """
+    The module-level functions, classes and constants of `src/wplab` that
+    no source names: as a loaded name, an attribute or an imported name,
+    in any module, its own too.  Dunders are exempt.
+    """
+    trees = {path: ast.parse(text, str(path)) for path, text in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent != REPO / "src" / "wplab":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name not in named and not (name.startswith("__") and name.endswith("__")):
+                    unreferenced.append(f"{path.name}: {name}")
+    return unreferenced
+
+
+def test_no_dead_definition_in_src() -> None:
+    # no linter runs here: a helper that nothing names any more must go
+    assert _unreferenced(_sources()) == []
+
+
+def test_dead_definition_guard_flags_an_unreferenced_helper() -> None:
+    sources = _sources()
+    path = REPO / "src" / "wplab" / "brackets.py"
+    sources[path] += "\n\ndef _f():\n    return 0\n"
+    assert _unreferenced(sources) == ["brackets.py: _f"]

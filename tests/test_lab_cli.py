@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wplab import brackets, lab, random_model
+from wplab import brackets, cli, lab, random_model
 from wplab.brackets import BracketCache, cache_load
 from wplab.lab import (
     EXPERIMENT_RANKS,
@@ -113,6 +113,28 @@ def test_budget_exceeded_exit_code() -> None:
     proc = _wplab(["volume-table", "--budget", "6", "--gmin", "20"])
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def test_demand_driven_experiment_past_budget_22_prints_no_warning(capsys, monkeypatch) -> None:
+    # the experiment builds only the slices its small grid reads, not the closure
+    monkeypatch.delenv("WPLAB_CACHE", raising=False)
+    monkeypatch.setattr(brackets, "_default_cache", BracketCache())
+    assert cli.main(["volume-table", "--budget", "30", "--gmax", "2", "--nmax", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # the header and (1,1), (1,2), (2,0), (2,1), (2,2)
+    assert out.count("\n") == 6
+
+
+@pytest.mark.parametrize("budget, warned", [(22, False), (23, True)])
+def test_cache_warm_past_budget_22_warns(budget, warned, capsys, monkeypatch) -> None:
+    # the warning comes before the warm, so a stub stands in for a budget-23 closure
+    monkeypatch.delenv("WPLAB_CACHE", raising=False)
+    monkeypatch.setattr(lab, "cache_warm", lambda cfg: lab.WarmStats(0, 0, 0.0, None))
+    assert cli.main(["cache-warm", "--budget", str(budget)]) == 0
+    err = capsys.readouterr().err
+    assert (f"budget {budget} > 22; the bracket closure grows steeply" in err) is warned
+    assert err.count("\n") == warned
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,9 @@ def test_partitions_enumeration() -> None:
     assert parts == [(), (1,), (1, 1), (2,), (2, 1), (3,)]
     assert list(partitions_upto(0, 5)) == [()]
     assert len(list(partitions_upto(4, 1))) == 5
+    # in lexicographic order, and with a cap on the entries
+    assert list(partitions_upto(3, 2)) == parts
+    assert list(partitions_upto(5, 3, 2)) == [(), (1,), (1, 1), (1, 1, 1), (2,), (2, 1), (2, 1, 1), (2, 2), (2, 2, 1)]
 
 
 def test_volume_midpoints_match_the_exact_fadd_route() -> None:
