@@ -619,13 +619,14 @@ def cache_load(path, cache: BracketCache | None = None, rank: int | None = None)
     file is checked before the table changes, so a failed load leaves it
     as it was: a fault, named as `{path}: line N: ...` for the first
     faulty line, then a key the table holds with another value
-    (AssertionError, the first in file order).  Each distinct `v:c` piece
+    (AssertionError, the least such key, which in a file `cache_save`
+    wrote is also the first in file order).  Each distinct `v:c` piece
     is decoded once per call.  Returns entries read.
 
     With `rank`, only the keys with at most `rank` nonzero exponents go
-    into the table, in file order, and only they are checked for a
-    collision; every check on the text, or on its sidecar, still covers
-    the whole file.  The default reads every key.
+    into the table, and only they are checked for a collision; every
+    check on the text, or on its sidecar, still covers the whole file.
+    The default reads every key.
 
     Values are built with no second normalization: the positivity and
     lowest-terms checks make num/den equal to `Fraction(num, den)`.  The
@@ -661,22 +662,24 @@ def cache_load(path, cache: BracketCache | None = None, rank: int | None = None)
                     while block := fh.read(_BLOCK):
                         _load_block(block + fh.readline(), full, pieces, {})
                 except ValueError:
-                    # an undecodable byte too; a second read binds no sidecar
-                    full, digest = _load_lines(path, pieces), None
+                    # an undecodable byte too: the hashed bytes again, line by line
+                    fh.detach()
+                    raw.seek(0)
+                    full = _load_lines(path, io.TextIOWrapper(raw, encoding="utf-8"), pieces)
                 count = len(full)
                 table = full if rank is None else {k: v for k, v in full.items() if len(k[2]) <= rank}
             else:
                 table, count = sidecar
         entries = cache.entries
         if entries:
-            for key, value in table.items():
-                old = entries.get(key)
-                if old is not None and old != value:
-                    raise AssertionError(f"cache collision at {key}: {old} != {value}")
-        if sidecar is None and digest:
+            clash = [key for key, value in table.items() if (old := entries.get(key)) is not None and old != value]
+            if clash:
+                key = min(clash)
+                raise AssertionError(f"cache collision at {key}: {entries[key]} != {table[key]}")
+        if sidecar is None:
             _write_sidecar(path, digest, full)
         entries.update(table)
-        if digest and len(entries) == len(table) == count:
+        if len(entries) == len(table) == count:
             cache.same_as = (os.path.realpath(path), digest, count)
     finally:
         if gc_enabled:
@@ -686,18 +689,17 @@ def cache_load(path, cache: BracketCache | None = None, rank: int | None = None)
 
 # The sidecar: this tag, the sha256 of the text and of the rest, then the
 # rest: a header (the entry count and the number of blobs R + 1, then each
-# blob's size, as little-endian 8-byte words; then the file's order as one
-# rank byte per entry), then blob r = 0..R, the (keys, numerators,
-# denominators) of the entries with r nonzero exponents in file order, in
-# marshal format 2, whose write keeps no ref table.
-_IDX_TAG = f"{CACHE_VERSION} idx2 {sys.implementation.cache_tag} marshal 2\n".encode()
+# blob's size, as little-endian 8-byte words), then blob r = 0..R, the
+# (keys, numerators, denominators) of the entries with r nonzero exponents,
+# in marshal format 2, whose write keeps no ref table.
+_IDX_TAG = f"{CACHE_VERSION} idx3 {sys.implementation.cache_tag} marshal 2\n".encode()
 
 
 def _read_sidecar(path, digest: bytes, rank: int | None) -> Tuple[Dict[Key, Rat], int] | None:
     """
     The entries of at most `rank` nonzero exponents (all by default) in
-    `<path>.idx`, in file order, and the file's entry count, if the
-    sidecar is bound to text of sha256 `digest`; else None.
+    `<path>.idx`, and the file's entry count, if the sidecar is bound to
+    text of sha256 `digest`; else None.
     """
     try:
         with open(f"{path}.idx", "rb") as fh:
@@ -708,45 +710,31 @@ def _read_sidecar(path, digest: bytes, rank: int | None) -> Tuple[Dict[Key, Rat]
         count, blobs = struct.unpack_from("<2Q", data, at)
         sizes = struct.unpack_from(f"<{blobs}Q", data, at + 16)
         at += 16 + 8 * blobs
-        order = data[at : at + count]
-        at += count
         if at + sum(sizes) != len(data):
             return None
-        # one (key, value) stream per rank read; the file's order picks from them
-        streams = []
+        table: Dict[Key, Rat] = {}
         for size in sizes if rank is None else sizes[: rank + 1]:
             keys, nums, dens = marshal.loads(view[at : at + size])
             at += size
-            streams.append(zip(keys, map(_coprime_rat, nums, dens)))
-        if rank is not None:
-            order = order.translate(None, bytes(range(rank + 1, 256)))
-        table = dict(map(next, map(streams.__getitem__, order)))
-        # a stream that ran out ends the dict early
-        return (table, count) if len(table) == len(order) else None
-    except (OSError, ValueError, TypeError, EOFError, IndexError, struct.error):
+            table.update(zip(keys, map(_coprime_rat, nums, dens)))
+        # a key repeated across the blobs leaves a full read short
+        return None if at == len(data) and len(table) != count else (table, count)
+    except (OSError, ValueError, TypeError, EOFError, struct.error):
         return None
 
 
 def _write_sidecar(path, digest: bytes, table: Dict[Key, Rat]) -> None:
-    """
-    `<path>.idx` for `table`, checked from text of sha256 `digest`; a
-    failed write leaves no file, and a key of 256 or more nonzero
-    exponents, which a rank byte cannot hold, leaves none either.
-    """
-    try:
-        order = bytes(len(key[2]) for key in table)
-    except ValueError:
-        return
-    columns: List[Tuple[List[Key], List[int], List[int]]] = [([], [], []) for _ in range(max(order, default=0) + 1)]
+    """`<path>.idx` for `table`, checked from text of sha256 `digest`; a failed write leaves no file."""
+    columns: Dict[int, Tuple[List[Key], List[int], List[int]]] = defaultdict(lambda: ([], [], []))
     # the parse built every value with `_coprime_rat`, so its slots hold
     # what the `numerator` and `denominator` properties would return
-    for r, (key, value) in zip(order, table.items()):
-        keys, nums, dens = columns[r]
+    for key, value in table.items():
+        keys, nums, dens = columns[len(key[2])]
         keys.append(key)
         nums.append(value._numerator)
         dens.append(value._denominator)
-    blobs = [marshal.dumps(c, 2) for c in columns]
-    header = struct.pack(f"<{len(blobs) + 2}Q", len(order), len(blobs), *map(len, blobs)) + order
+    blobs = [marshal.dumps(columns[r], 2) for r in range(max(columns, default=-1) + 1)]
+    header = struct.pack(f"<{len(blobs) + 2}Q", len(table), len(blobs), *map(len, blobs))
     h = hashlib.sha256(header)
     for blob in blobs:
         h.update(blob)
@@ -761,18 +749,17 @@ def _write_sidecar(path, digest: bytes, table: Dict[Key, Rat]) -> None:
             os.unlink(tmp)
 
 
-def _load_lines(path, pieces: Pieces) -> Dict[Key, Rat]:
-    """`_load_block` one line at a time from line 2, naming the line of a fault."""
+def _load_lines(path, fh, pieces: Pieces) -> Dict[Key, Rat]:
+    """`_load_block` one line at a time from line 2 of the text handle `fh`, naming the line of `path` at fault."""
     table: Dict[Key, Rat] = {}
     first_line: Dict[Key, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                for key in _load_block(line, table, pieces, first_line):
-                    first_line[key] = lineno
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    fh.readline()
+    for lineno, line in enumerate(fh, start=2):
+        try:
+            for key in _load_block(line, table, pieces, first_line):
+                first_line[key] = lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return table
 
 

@@ -48,8 +48,11 @@ __all__ = [
 def partitions_upto(max_sum: int, max_parts: int, cap: int | None = None) -> Iterator[Tuple[int, ...]]:
     """
     Non-increasing positive tuples with sum <= max_sum, length <= max_parts
-    and entries <= cap (default max_sum), in lexicographic order.
+    and entries <= cap (default max_sum), in lexicographic order.  A
+    negative max_sum or max_parts raises ValueError.
     """
+    if max_sum < 0 or max_parts < 0:
+        raise ValueError(f"negative bound: max_sum={max_sum}, max_parts={max_parts}")
     yield ()
 
     def rec(prefix: List[int], cap: int, rem: int, slots: int):

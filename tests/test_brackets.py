@@ -495,11 +495,32 @@ def test_clear_empties_every_memo_and_resets_the_width(tmp_path) -> None:
     assert (cache.slot, cache.bound_bits, cache.same_as) == (brackets._FIRST_SLOT, 0, None)
 
 
-def _dilaton_failures(q, max_dim: int) -> tuple[int, list]:
+def _dilaton_holds(q, g: int, n: int) -> bool:
     """
-    The Do-Norbury dilaton relation at beta = 0, over every stable (g, n)
-    with n >= 1 and 3g-3+n <= max_dim:
+    The Do-Norbury dilaton relation at beta = 0 on a stable (g, n), n >= 1:
     sum_{j >= 1} 2j (-4)^(j-1) q(g,n+1,(j,)) / (4^j (2j+1)!) = (2g-2+n) q(g,n,()).
+    """
+    lhs = sum(
+        rat(2 * j * (-4) ** (j - 1), 4**j * math.factorial(2 * j + 1)) * q(g, n + 1, (j,))
+        for j in range(1, 3 * g - 2 + n + 1)
+    )
+    return lhs == (2 * g - 2 + n) * q(g, n, ())
+
+
+def _string_holds(q, g: int, n: int) -> bool:
+    """
+    The Do-Norbury string relation at beta = 0 on a stable (g, n), n >= 1:
+    sum_{j=0}^{3g-2+n} (-1)^j q(g,n+1,(j,)) / (2j+1)! = 0.
+    """
+    return not sum(
+        rat((-1) ** j, math.factorial(2 * j + 1)) * q(g, n + 1, (j,) if j else ())
+        for j in range(3 * g - 2 + n + 1)
+    )
+
+
+def _failures(holds, q, max_dim: int) -> tuple[int, list]:
+    """
+    A relation over every stable (g, n) with n >= 1 and 3g-3+n <= max_dim.
     Returns (relations checked, the (g, n) where it fails).
     """
     count, failures = 0, []
@@ -507,12 +528,8 @@ def _dilaton_failures(q, max_dim: int) -> tuple[int, list]:
         for n in range(1, max_dim - 3 * g + 4):
             if not brackets.stable(g, n):
                 continue
-            lhs = sum(
-                rat(2 * j * (-4) ** (j - 1), 4**j * math.factorial(2 * j + 1)) * q(g, n + 1, (j,))
-                for j in range(1, 3 * g - 2 + n + 1)
-            )
             count += 1
-            if lhs != (2 * g - 2 + n) * q(g, n, ()):
+            if not holds(q, g, n):
                 failures.append((g, n))
     return count, failures
 
@@ -526,8 +543,12 @@ def demand23() -> BracketCache:
 def test_dilaton_relation_past_the_sha256_pins(demand23) -> None:
     # by demand from an empty table, up to dimension 23, where slots reach
     # 264 bits; n = 0 is the identity that `_q_closed` is built on
-    assert _dilaton_failures(lambda g, n, dnz: brackets._cached_q(g, n, dnz, demand23), 23) == (124, [])
+    assert _failures(_dilaton_holds, lambda g, n, dnz: brackets._cached_q(g, n, dnz, demand23), 23) == (124, [])
     assert demand23.slot == 264
+
+
+def test_string_relation_past_the_sha256_pins(demand23) -> None:
+    assert _failures(_string_holds, lambda g, n, dnz: brackets._cached_q(g, n, dnz, demand23), 23) == (124, [])
 
 
 def test_dilaton_relation_catches_one_wrong_bracket(demand23) -> None:
@@ -535,4 +556,21 @@ def test_dilaton_relation_catches_one_wrong_bracket(demand23) -> None:
         value = brackets._cached_q(g, n, dnz, demand23)
         return value * rat(3, 2) if (g, n, dnz) == (5, 9, (4,)) else value
 
-    assert _dilaton_failures(q, 23) == (124, [(5, 8)])
+    assert _failures(_dilaton_holds, q, 23) == (124, [(5, 8)])
+
+
+def test_string_and_dilaton_relations_at_dimension_30() -> None:
+    # both relations on (10, 2) read (10, 3), of top dimension 30; by
+    # demand from an empty table, slots widen to 312 bits
+    cache = BracketCache()
+
+    def q(g, n, dnz):
+        return brackets._cached_q(g, n, dnz, cache)
+
+    assert _string_holds(q, 10, 2) and _dilaton_holds(q, 10, 2)
+    assert (cache.slot, len(cache)) == (312, 26546)
+
+    def wrong(g, n, dnz):
+        return q(g, n, dnz) * rat(3, 2) if (g, n, dnz) == (10, 3, (5,)) else q(g, n, dnz)
+
+    assert not _string_holds(wrong, 10, 2) and not _dilaton_holds(wrong, 10, 2)

@@ -1,20 +1,23 @@
 """
 `brackets.cache_load` against the line-at-a-time reference loader: the same
-entries in the same order, the same exception and message on corrupt
-files, a failed load that changes nothing, and a bounded transient peak;
-then values equal to `Fraction(num, den)` in every respect, and the
-cyclic collector paused during a load and left as it was found; then the
-sidecar, and loads limited to a rank, which give the reference's entries
-of at most that many nonzero exponents, in file order.
+entries, the same exception and message on corrupt files, a failed load
+that changes nothing, and a bounded transient peak; then values equal to
+`Fraction(num, den)` in every respect, and the cyclic collector paused
+during a load and left as it was found; then the sidecar, and loads
+limited to a rank, which give the reference's entries of at most that
+many nonzero exponents.  Tables are compared as dicts: a load promises
+no order.
 """
 
 import gc
 import hashlib
 import marshal
+import os
 import re
 import struct
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,23 +140,24 @@ def _outcome(load, path, cache=None):
         count = load(path, cache)
     except Exception as exc:  # the exception itself is the outcome compared
         return type(exc), str(exc)
-    return count, list(cache.entries.items())
+    return count, dict(cache.entries)
 
 
 def test_cache_load_matches_reference_loader(table_text, tmp_path) -> None:
     path = tmp_path / "brackets.txt"
     path.write_text(table_text, encoding="utf-8", newline="")
-    count, items = _outcome(cache_load, path)
-    assert count == 3321
-    assert (count, items) == _outcome(reference_load, path)
-    # into a table that already holds some entries: they keep their place
+    count, table = _outcome(cache_load, path)
+    reference = _outcome(reference_load, path)
+    assert count == reference[0] == 3321
+    _same_tables(table, reference[1])
+    # into a table that already holds some of the entries
+    items = list(reference[1].items())
     outcomes = []
     for load in (cache_load, reference_load):
         cache = BracketCache()
         cache.entries.update([items[3000], items[5]])
         outcomes.append(_outcome(load, path, cache))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1][:2] == [items[3000], items[5]]
+    assert outcomes[0] == outcomes[1] == reference
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -338,7 +342,9 @@ def test_loaded_values_are_canonical_fractions(budget, table_text, table_14_text
     cache = BracketCache()
     assert cache_load(path, cache) == len(expected)
     # block path, and the line-by-line fallback called on a good file
-    for values in (list(cache.entries.values()), list(brackets._load_lines(path, {}).values())):
+    with open(path, encoding="utf-8") as fh:
+        by_line = brackets._load_lines(path, fh, {})
+    for values in (list(cache.entries.values()), list(by_line.values())):
         assert len(values) == len(expected)
         for value, want in zip(values, expected):
             assert type(value) is Fraction
@@ -417,8 +423,10 @@ def _no_parse(*args):
 
 
 def _same_tables(got, want) -> None:
-    assert list(got) == list(want)
-    for value, expected in zip(got.values(), want.values()):
+    """The same keys, and under each the same `Fraction` in every slot; in any order."""
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        expected = want[key]
         assert type(value) is Fraction
         assert (value.numerator, value.denominator, hash(value)) == (
             expected.numerator,
@@ -470,20 +478,49 @@ STALE = {
     "blob-sizes-short-of-the-payload": lambda path, idx: idx.write_bytes(
         _bound(path, idx.read_bytes()[len(brackets._IDX_TAG) + 64 :] + b"\x00")
     ),
-    # the single-blob layout before the rank split, under its own tag
-    "previous-format": lambda path, idx: idx.write_bytes(_previous_format(path)),
+    # a true layout, but one key moved into a second blob: a full read
+    # comes out one key short of the entry count
+    "key-in-two-blobs": lambda path, idx: idx.write_bytes(_key_in_two_blobs(path, idx)),
+    # the `idx2` layout, with its rank byte per entry, under its own tag
+    "previous-format": lambda path, idx: idx.write_bytes(_previous_format(path, b" idx2 ")),
+    # and under the current tag, where its order bytes break the blob sizes
+    "previous-payload-current-tag": lambda path, idx: idx.write_bytes(_previous_format(path, b" idx3 ")),
 }
 
 
-def _previous_format(path) -> bytes:
-    """The text's table in the one-blob sidecar layout, with both its digests true."""
+def _previous_format(path, name: bytes) -> bytes:
+    """
+    The text's table in the `idx2` layout, whose header ended in the file's
+    order as one rank byte per entry, under the format name `name`, with
+    both its digests true.
+    """
     table = BracketCache()
     reference_load(path, table)
-    values = table.entries.values()
-    payload = marshal.dumps((list(table.entries), [v.numerator for v in values], [v.denominator for v in values]), 2)
-    tag = brackets._IDX_TAG.replace(b" idx2 ", b" idx1 ")
+    order = bytes(len(key[2]) for key in table.entries)
+    columns = [([], [], []) for _ in range(max(order) + 1)]
+    for r, (key, value) in zip(order, table.entries.items()):
+        for column, x in zip(columns[r], (key, value.numerator, value.denominator)):
+            column.append(x)
+    blobs = [marshal.dumps(c, 2) for c in columns]
+    payload = struct.pack(f"<{len(blobs) + 2}Q", len(order), len(blobs), *map(len, blobs)) + order + b"".join(blobs)
+    tag = brackets._IDX_TAG.replace(b" idx3 ", name)
     sha = hashlib.sha256
     return tag + sha(path.read_bytes()).digest() + sha(payload).digest() + payload
+
+
+def _key_in_two_blobs(path, idx) -> bytes:
+    """The sidecar at `idx` with blob 1's first key replaced by blob 0's, under both digests true."""
+    data = idx.read_bytes()
+    at = len(brackets._IDX_TAG) + 64
+    count, blobs = struct.unpack_from("<2Q", data, at)
+    at += 16 + 8 * blobs
+    columns = []
+    for size in struct.unpack_from(f"<{blobs}Q", data, at - 8 * blobs):
+        columns.append(marshal.loads(data[at : at + size]))
+        at += size
+    columns[1][0][0] = columns[0][0][0]
+    payload = [marshal.dumps(c, 2) for c in columns]
+    return _bound(path, struct.pack(f"<{blobs + 2}Q", count, blobs, *map(len, payload)) + b"".join(payload))
 
 
 def _bound(path, payload: bytes) -> bytes:
@@ -639,8 +676,8 @@ def test_first_load_transient_memory_is_bounded(table_text, tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _within(items, rank):
-    return [(key, value) for key, value in items if len(key[2]) <= rank]
+def _within(table, rank):
+    return {key: value for key, value in table.items() if len(key[2]) <= rank}
 
 
 def _counting_parse(monkeypatch) -> list:
@@ -656,31 +693,40 @@ def _counting_parse(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("rank", [0, 1, 2, 3, 11, 12, 40])
-def test_rank_limited_load_is_the_reference_filtered(rank, table_text, tmp_path, monkeypatch) -> None:
+def _check_rank_limited_load(text, rank, tmp_path, monkeypatch) -> None:
     path = tmp_path / "brackets.txt"
-    path.write_text(table_text, encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", newline="")
     reference = BracketCache()
     reference_load(path, reference)
-    want = _within(reference.entries.items(), rank)
+    want = _within(reference.entries, rank)
     parses = _counting_parse(monkeypatch)
     # the parse, then the sidecar it wrote, then a load into a table that
-    # already holds two of the entries, which keep their place
+    # already holds two of the entries
     for expect_parse in (True, False, False):
         cache = BracketCache()
-        held = [want[-1], want[0]] if not expect_parse and len(want) > 1 else []
-        cache.entries.update(held)
+        items = list(want.items())
+        cache.entries.update([items[-1], items[0]] if not expect_parse else [])
         before = len(parses)
         assert cache_load(path, cache, rank=rank) == len(want)
         assert (len(parses) > before) is expect_parse
-        expected = held + [item for item in want if item not in held]
-        assert list(cache.entries.items()) == expected
-        _same_tables(cache.entries, dict(expected))
+        _same_tables(cache.entries, want)
     # the sidecar a rank-limited parse wrote holds every rank
     monkeypatch.setattr(brackets, "_load_block", _no_parse)
     full = BracketCache()
-    assert cache_load(path, full) == 3321
+    assert cache_load(path, full) == len(reference)
     _same_tables(full.entries, reference.entries)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 11, 12, 40])
+def test_rank_limited_load_is_the_reference_filtered(rank, table_text, tmp_path, monkeypatch) -> None:
+    _check_rank_limited_load(table_text, rank, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 11, 12, 40])
+def test_rank_limited_load_of_the_budget_14_table_is_the_reference_filtered(
+    rank, table_14_text, tmp_path, monkeypatch
+) -> None:
+    _check_rank_limited_load(table_14_text, rank, tmp_path, monkeypatch)
 
 
 def test_rank_limited_load_sets_no_same_as(table_text, tmp_path) -> None:
@@ -752,17 +798,66 @@ def test_corrupt_unread_rank_falls_back_to_the_parse(table_text, tmp_path, monke
     cache = BracketCache()
     assert cache_load(path, cache, rank=0) == 47
     assert parses
-    assert list(cache.entries.items()) == _within(reference.entries.items(), 0)
+    _same_tables(cache.entries, _within(reference.entries, 0))
     # the parse wrote the sidecar again, and it now matches
     assert idx.read_bytes() == data
 
 
-def test_key_of_rank_256_loads_with_no_sidecar(tmp_path) -> None:
-    # a well-formed key with more nonzero exponents than a rank byte holds
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 11, 12, 40])
+def test_rank_limited_load_unmarshals_only_the_ranks_it_reads(rank, table_text, tmp_path, monkeypatch) -> None:
     path = tmp_path / "brackets.txt"
-    path.write_text(HEADER + "0|1:256,0:3|1/1*pi^0\n", encoding="utf-8")
+    path.write_text(table_text, encoding="utf-8", newline="")
+    full = BracketCache()
+    cache_load(path, full)
+    read = []
+
+    def loads(data):
+        keys, nums, dens = blob = marshal.loads(data)
+        read.append({len(key[2]) for key in keys})
+        return blob
+
+    monkeypatch.setattr(brackets, "marshal", SimpleNamespace(loads=loads))
     cache = BracketCache()
-    assert cache_load(path, cache) == 1
-    assert list(cache.entries) == [(0, 259, (1,) * 256)]
-    assert not _idx(path).exists()
-    assert cache_load(path, BracketCache(), rank=255) == 0
+    assert cache_load(path, cache, rank=rank) == len(_within(full.entries, rank))
+    _same_tables(cache.entries, _within(full.entries, rank))
+    # blob r holds the keys of rank r, and the budget-12 table has ranks 0..12
+    assert read == [{r} for r in range(min(rank, 12) + 1)]
+
+
+def test_key_of_rank_256_gets_a_sidecar(tmp_path, monkeypatch) -> None:
+    # a well-formed key with more nonzero exponents than a byte holds
+    path = tmp_path / "brackets.txt"
+    path.write_text(HEADER + "0|1:256,0:3|1/1*pi^0\n0|0:3|1/1*pi^0\n", encoding="utf-8")
+    cache = BracketCache()
+    assert cache_load(path, cache) == 2
+    assert _idx(path).is_file()
+    monkeypatch.setattr(brackets, "_load_block", _no_parse)
+    full = dict(cache.entries)
+    assert full.keys() == {(0, 3, ()), (0, 259, (1,) * 256)}
+    for rank, want in ((None, full), (255, _within(full, 255)), (256, full)):
+        read = BracketCache()
+        assert cache_load(path, read, rank=rank) == len(want)
+        _same_tables(read.entries, want)
+
+
+def test_fault_is_named_in_the_bytes_that_were_hashed(table_text, tmp_path, monkeypatch) -> None:
+    # a faulty text that a good one replaces after the load hashed it: the
+    # line-by-line pass that names the fault reads the same handle again
+    path = tmp_path / "brackets.txt"
+    path.write_text(CASES["later-block-malformed"](table_text), encoding="utf-8", newline="")
+    good = tmp_path / "good.txt"
+    good.write_text(table_text, encoding="utf-8", newline="")
+    read_sidecar = brackets._read_sidecar
+
+    def replaced(*args):
+        os.replace(good, path)
+        return read_sidecar(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(brackets, "_read_sidecar", replaced)
+        cache = BracketCache()
+        with pytest.raises(ValueError, match=r"brackets\.txt: line 3322: malformed PiScalar 'x'"):
+            cache_load(path, cache)
+    assert len(cache) == 0 and not _idx(path).exists()
+    # the next load reads the good text that is now there
+    assert cache_load(path, cache) == 3321

@@ -67,9 +67,11 @@ def _sources() -> Dict[Path, str]:
 
 def _unreferenced(sources: Dict[Path, str]) -> List[str]:
     """
-    The module-level functions, classes and constants of `src/wplab` that
-    no source names: as a loaded name, an attribute or an imported name,
-    in any module, its own too.  Dunders are exempt.
+    The module-level functions, classes and constants of `src/wplab`, and
+    the methods of its classes, that no source names: as a loaded name, an
+    attribute or an imported name, in any module, its own too.  Dunders
+    are exempt, and so is a method that overrides one of a base class,
+    which the base's own code calls.
     """
     trees = {path: ast.parse(text, str(path)) for path, text in sources.items()}
     named = set()
@@ -94,8 +96,18 @@ def _unreferenced(sources: Dict[Path, str]) -> List[str]:
                 names = [node.target.id]
             else:
                 names = []
+            if isinstance(node, ast.ClassDef):
+                module = importlib.import_module("wplab" if path.stem == "__init__" else f"wplab.{path.stem}")
+                bases = getattr(module, node.name, object).__mro__[1:]
+                names += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not any(hasattr(base, item.name) for base in bases)
+                ]
             for name in names:
-                if name not in named and not (name.startswith("__") and name.endswith("__")):
+                bare = name.rpartition(".")[2]
+                if bare not in named and not (bare.startswith("__") and bare.endswith("__")):
                     unreferenced.append(f"{path.name}: {name}")
     return unreferenced
 
@@ -110,3 +122,20 @@ def test_dead_definition_guard_flags_an_unreferenced_helper() -> None:
     path = REPO / "src" / "wplab" / "brackets.py"
     sources[path] += "\n\ndef _f():\n    return 0\n"
     assert _unreferenced(sources) == ["brackets.py: _f"]
+
+
+def test_dead_definition_guard_flags_an_unreferenced_method() -> None:
+    sources = _sources()
+    path = REPO / "src" / "wplab" / "brackets.py"
+    head = "    def __len__(self) -> int:\n"
+    assert head in sources[path]
+    sources[path] = sources[path].replace(head, "    def _g(self):\n        return 0\n\n" + head)
+    assert _unreferenced(sources) == ["brackets.py: BracketCache._g"]
+    # an override of a base-class method that no source names is exempt
+    path = REPO / "src" / "wplab" / "cli.py"
+    head = "    def error(self, message):\n"
+    assert head in sources[path]
+    sources[path] = sources[path].replace(
+        head, "    def convert_arg_line_to_args(self, arg_line):\n        return [arg_line]\n\n" + head
+    )
+    assert _unreferenced(sources) == ["brackets.py: BracketCache._g"]

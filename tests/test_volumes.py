@@ -225,6 +225,10 @@ def test_partitions_enumeration() -> None:
     # in lexicographic order, and with a cap on the entries
     assert list(partitions_upto(3, 2)) == parts
     assert list(partitions_upto(5, 3, 2)) == [(), (1,), (1, 1), (1, 1, 1), (2,), (2, 1), (2, 1, 1), (2, 2), (2, 2, 1)]
+    # a negative bound is refused, not read as no bound
+    for max_sum, max_parts in ((3, -1), (-1, 2)):
+        with pytest.raises(ValueError, match="negative bound"):
+            list(partitions_upto(max_sum, max_parts))
 
 
 def test_volume_midpoints_match_the_exact_fadd_route() -> None:
