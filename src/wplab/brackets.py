@@ -618,10 +618,10 @@ def cache_load(path, cache: BracketCache | None = None, rank: int | None = None)
     no leading zero, lowest terms), and per-line homogeneity.  The whole
     file is checked before the table changes, so a failed load leaves it
     as it was: a fault, named as `{path}: line N: ...` for the first
-    faulty line, then a key the table holds with another value
-    (AssertionError, the least such key, which in a file `cache_save`
-    wrote is also the first in file order).  Each distinct `v:c` piece
-    is decoded once per call.  Returns entries read.
+    faulty line (a byte that is not UTF-8 too), then a key the table
+    holds with another value (AssertionError, the least such key, which
+    in a file `cache_save` wrote is also the first in file order).  Each
+    distinct `v:c` piece is decoded once per call.  Returns entries read.
 
     With `rank`, only the keys with at most `rank` nonzero exponents go
     into the table, and only they are checked for a collision; every
@@ -654,18 +654,18 @@ def cache_load(path, cache: BracketCache | None = None, rank: int | None = None)
             if sidecar is None:
                 raw.seek(0)
                 fh = io.TextIOWrapper(raw, encoding="utf-8")
-                header = fh.readline().rstrip("\n")
-                if header != CACHE_VERSION:
-                    raise ValueError(f"cache version mismatch: {header!r}")
                 full = {}
                 try:
+                    if fh.readline().rstrip("\n") != CACHE_VERSION:
+                        raise ValueError("cache version mismatch")
                     while block := fh.read(_BLOCK):
                         _load_block(block + fh.readline(), full, pieces, {})
                 except ValueError:
-                    # an undecodable byte too: the hashed bytes again, line by line
+                    # a fault, a bad header or an undecodable byte: the
+                    # hashed bytes again, line by line, to name it
                     fh.detach()
                     raw.seek(0)
-                    full = _load_lines(path, io.TextIOWrapper(raw, encoding="utf-8"), pieces)
+                    full = _load_lines(path, raw, pieces)
                 count = len(full)
                 table = full if rank is None else {k: v for k, v in full.items() if len(k[2]) <= rank}
             else:
@@ -749,18 +749,39 @@ def _write_sidecar(path, digest: bytes, table: Dict[Key, Rat]) -> None:
             os.unlink(tmp)
 
 
-def _load_lines(path, fh, pieces: Pieces) -> Dict[Key, Rat]:
-    """`_load_block` one line at a time from line 2 of the text handle `fh`, naming the line of `path` at fault."""
+def _load_lines(path, raw, pieces: Pieces) -> Dict[Key, Rat]:
+    """
+    The version header, then `_load_block` line by line, from the start of
+    the binary handle `raw`, naming the line of `path` at fault.
+    """
     table: Dict[Key, Rat] = {}
     first_line: Dict[Key, int] = {}
-    fh.readline()
-    for lineno, line in enumerate(fh, start=2):
+    lines = _decoded_lines(path, raw)
+    header = next(lines, "")
+    if header != CACHE_VERSION:
+        raise ValueError(f"cache version mismatch: {header!r}")
+    for lineno, line in enumerate(lines, start=2):
         try:
             for key in _load_block(line, table, pieces, first_line):
                 first_line[key] = lineno
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return table
+
+
+def _decoded_lines(path, raw) -> Iterator[str]:
+    """
+    The lines of the binary handle `raw`, without their line breaks, each
+    decoded on its own, so that an undecodable byte is named by its line.
+    """
+    # such a byte passes the split into lines as a lone surrogate; closing
+    # the wrapper closes `raw`
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as text:
+        for lineno, line in enumerate(text, start=1):
+            try:
+                yield line.rstrip("\n").encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
 def _load_block(text: str, table: Dict[Key, Rat], pieces: Pieces, first_line: Dict[Key, int]) -> List[Key]:

@@ -15,9 +15,7 @@ from fractions import Fraction
 
 from .lab import (
     BUDGET_HARD_WARNING,
-    EXPERIMENT_DOCS,
     EXPERIMENTS,
-    HARD_CHECK_EXPERIMENTS,
     LabConfig,
     load_config_file,
     render_input,
@@ -55,7 +53,7 @@ def _cutoff(text: str) -> CutoffLength:
 
 
 def build_parser() -> _Parser:
-    docs = "\n".join(f"  {name:<20} {doc}" for name, doc in EXPERIMENT_DOCS.items())
+    docs = "\n".join(f"  {name:<20} {exp.doc}" for name, exp in EXPERIMENTS.items())
     parser = _Parser(
         prog="wplab",
         description="Exact volume engine and asymptotics verification lab.",
@@ -88,13 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment not in EXPERIMENTS:
-        parser.print_usage(sys.stderr)
-        print(
-            f"wplab: error: unknown experiment {args.experiment!r}; "
-            f"valid names: {', '.join(sorted(EXPERIMENTS))}",
-            file=sys.stderr,
-        )
-        return USAGE_EXIT
+        parser.error(f"unknown experiment {args.experiment!r}; valid names: {', '.join(sorted(EXPERIMENTS))}")
 
     try:
         file_values = load_config_file(args.config) if args.config else None
@@ -149,7 +141,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
 
-    if args.experiment in HARD_CHECK_EXPERIMENTS:
+    if EXPERIMENTS[args.experiment].hard_check:
         row = next((row for row in rows if row.status == "FAIL"), None)
         if row is not None:
             print(

@@ -6,9 +6,10 @@ Every experiment produces rows with the fixed columns
 
     experiment, input, exact, numeric, reference, deviation, status, warnings
 
-whose per-experiment meaning is documented in EXPERIMENT_DOCS (surfaced
-by ``wplab --help``).  Rows are computed as pure functions of exact
-values, buffered, and emitted in canonical input order, so artifacts are
+whose per-experiment meaning is the help line of its one entry in
+EXPERIMENTS (surfaced by ``wplab --help``), beside its runner, its rank
+and its exit rule.  Rows are computed as pure functions of exact values,
+buffered, and emitted in canonical input order, so artifacts are
 byte-identical across runs.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import recorded
 from .exact import PiScalar, eval_float, eval_numeric
@@ -70,9 +71,8 @@ from .volumes import (
 __all__ = [
     "LabConfig",
     "ExperimentRow",
+    "Experiment",
     "EXPERIMENTS",
-    "EXPERIMENT_DOCS",
-    "HARD_CHECK_EXPERIMENTS",
     "run_experiment",
     "cache_warm",
     "WarmStats",
@@ -573,55 +573,36 @@ def _exp_cache_warm(cfg: LabConfig) -> List[ExperimentRow]:
     ]
 
 
-EXPERIMENTS: Dict[str, Callable[[LabConfig], List[ExperimentRow]]] = {
-    "volume-table": _exp_volume_table,
-    "mz-ratio": _exp_mz_ratio,
-    "ratio-R": _exp_ratio_R,
-    "identity": _exp_identity,
-    "poisson-moments": _exp_poisson_moments,
-    "second-moment": _exp_second_moment,
-    "cheeger-upper": _exp_cheeger_upper,
-    "pvol2": _exp_pvol2,
-    "two-curve": _exp_two_curve,
-    "geometry-constants": _exp_geometry_constants,
-    "lratio": _exp_lratio,
-    "cache-warm": _exp_cache_warm,
-}
+class Experiment(NamedTuple):
+    """
+    One experiment, declared once; EXPERIMENTS holds them in `wplab --help`
+    order.  `run` computes its rows.  `rank` is the most nonzero exponents
+    in a bracket it reads, fixed by its formula: 0 for volumes, their
+    ratios and split sums, 1 for the identity's [tau_m]_{g,n+1}, 2 for the
+    two-curve triangle and second-moment weights, 3 for the factorial
+    moments' box weights over k <= 3 variables; None reads the whole table
+    and -1 none.  `doc` is its help line; with `hard_check` a FAIL row exits 3.
+    """
 
-HARD_CHECK_EXPERIMENTS = {"identity"}
-# experiments that read no bracket: `run_experiment` loads no table for them
-TABLE_FREE_EXPERIMENTS = {"geometry-constants"}
-# the most nonzero exponents in a bracket each experiment reads, fixed by
-# its formula: volumes and their ratios and split sums (0), the identity's
-# [tau_m]_{g,n+1} (1), the two-curve triangle and second-moment weights (2)
-# and the factorial moments' box weights over k <= 3 variables (3).
-# `run_experiment` loads only those keys; cache-warm loads the whole table.
-EXPERIMENT_RANKS = {
-    "volume-table": 0,
-    "mz-ratio": 0,
-    "ratio-R": 0,
-    "lratio": 0,
-    "pvol2": 0,
-    "cheeger-upper": 0,
-    "identity": 1,
-    "two-curve": 2,
-    "second-moment": 2,
-    "poisson-moments": 3,
-}
+    run: Callable[[LabConfig], List[ExperimentRow]]
+    rank: Optional[int]
+    doc: str
+    hard_check: bool = False
 
-EXPERIMENT_DOCS = {
-    "volume-table": "exact V_{g,n}; deviation = ratio to the factorial-growth envelope; PASS iff ratio <= recorded cap",
-    "mz-ratio": "exact (2g-2+n)V_{g,n}/V_{g,n+1}; reference 1/(4pi^2); PASS iff |dev| <= fitted_c2*n/(2g-2+n)",
-    "ratio-R": "exact V^2/(V V); PASS iff within [1/2 - pi^2/20, 1]",
-    "identity": "alternating-sum identity residual; PASS iff exactly 0 (exit 3 otherwise)",
-    "poisson-moments": "exact factorial moments at L; reference = product main term; PASS iff rel_dev decreased vs previous g",
-    "second-moment": "second-moment lower bound vs volume-ratio target; PASS iff bound in [0,1]",
-    "cheeger-upper": "explicit probability upper-bound sum at C; PASS iff finite and >= 0",
-    "pvol2": "normalized split-volume sum at u; reference = value*sqrt(g); PASS iff below recorded cap",
-    "two-curve": "exact triangle-integral two-curve bound at C; reference = value*(g+n); PASS iff positive",
-    "geometry-constants": "threshold constants and closed-form geometry identities",
-    "lratio": "split-volume ratio vs m^m(chi-m)^(chi-m)/chi^chi; PASS iff lhs/rhs below recorded cap",
-    "cache-warm": "warm all brackets within budget; numeric = total entries, reference = new entries",
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "volume-table": Experiment(_exp_volume_table, 0, "exact V_{g,n}; deviation = ratio to the factorial-growth envelope; PASS iff ratio <= recorded cap"),
+    "mz-ratio": Experiment(_exp_mz_ratio, 0, "exact (2g-2+n)V_{g,n}/V_{g,n+1}; reference 1/(4pi^2); PASS iff |dev| <= fitted_c2*n/(2g-2+n)"),
+    "ratio-R": Experiment(_exp_ratio_R, 0, "exact V^2/(V V); PASS iff within [1/2 - pi^2/20, 1]"),
+    "identity": Experiment(_exp_identity, 1, "alternating-sum identity residual; PASS iff exactly 0 (exit 3 otherwise)", hard_check=True),
+    "poisson-moments": Experiment(_exp_poisson_moments, 3, "exact factorial moments at L; reference = product main term; PASS iff rel_dev decreased vs previous g"),
+    "second-moment": Experiment(_exp_second_moment, 2, "second-moment lower bound vs volume-ratio target; PASS iff bound in [0,1]"),
+    "cheeger-upper": Experiment(_exp_cheeger_upper, 0, "explicit probability upper-bound sum at C; PASS iff finite and >= 0"),
+    "pvol2": Experiment(_exp_pvol2, 0, "normalized split-volume sum at u; reference = value*sqrt(g); PASS iff below recorded cap"),
+    "two-curve": Experiment(_exp_two_curve, 2, "exact triangle-integral two-curve bound at C; reference = value*(g+n); PASS iff positive"),
+    "geometry-constants": Experiment(_exp_geometry_constants, -1, "threshold constants and closed-form geometry identities"),
+    "lratio": Experiment(_exp_lratio, 0, "split-volume ratio vs m^m(chi-m)^(chi-m)/chi^chi; PASS iff lhs/rhs below recorded cap"),
+    "cache-warm": Experiment(_exp_cache_warm, None, "warm all brackets within budget; numeric = total entries, reference = new entries"),
 }
 
 
@@ -629,24 +610,20 @@ def run_experiment(name: str, cfg: LabConfig) -> List[ExperimentRow]:
     """
     The rows of experiment `name` under `cfg`, sorted by input.  With a
     cache directory that holds `brackets.txt`, the default table first
-    loads the keys of at most `EXPERIMENT_RANKS[name]` nonzero exponents
-    from it (none for `TABLE_FREE_EXPERIMENTS`).  It loads the whole file
-    for an experiment with no rank, and also when the largest 3g-3+n among
-    the volumes the table then holds is below `cfg.budget`, so that the
-    kernel builds on every entry the file holds.  Raises KeyError on an
-    unknown name.
+    loads the keys of at most the experiment's `rank` nonzero exponents
+    from it (none for rank -1).  It loads the whole file for rank None,
+    and also when the largest 3g-3+n among the volumes the table then
+    holds is below `cfg.budget`, so that the kernel builds on every entry
+    the file holds.  Raises KeyError on an unknown name.
     """
-    if name not in EXPERIMENTS:
-        raise KeyError(name)
-    if cfg.cache_dir and name not in TABLE_FREE_EXPERIMENTS:
+    exp = EXPERIMENTS[name]
+    if cfg.cache_dir and exp.rank != -1:
         persisted = Path(cfg.cache_dir) / "brackets.txt"
         if persisted.is_file():
-            rank = EXPERIMENT_RANKS.get(name)
-            cache_load(persisted, rank=rank)
-            if rank is not None and _top_dimension(default_cache()) < cfg.budget:
+            cache_load(persisted, rank=exp.rank)
+            if exp.rank is not None and _top_dimension(default_cache()) < cfg.budget:
                 cache_load(persisted)
-    rows = EXPERIMENTS[name](cfg)
-    return sorted(rows, key=lambda r: r.input)
+    return sorted(exp.run(cfg), key=lambda r: r.input)
 
 
 def _top_dimension(cache: BracketCache) -> int:

@@ -12,7 +12,7 @@ code with the package: only the rational type and the version header.
 from __future__ import annotations
 
 import re
-from typing import Dict, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from wplab.brackets import CACHE_VERSION
 from wplab.exact import Rat
@@ -49,15 +49,25 @@ def _decode_counts(text: str) -> Tuple[int, Tuple[int, ...]]:
     return n, dnz
 
 
+def _decoded(path, raw_lines: List[bytes]) -> Iterator[str]:
+    """Each line decoded on its own, so that an undecodable byte is named by its line."""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
 def reference_load(path, cache) -> int:
     """Load `path` into `cache.entries` line by line; returns entries read."""
     first_line: Dict[Key, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        # bytes.splitlines splits at the universal newlines of text mode
+        lines = _decoded(path, fh.read().splitlines())
+        header = next(lines, "")
         if header != CACHE_VERSION:
             raise ValueError(f"cache version mismatch: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        for lineno, line in enumerate(lines, start=2):
             if not line:
                 continue
             try:

@@ -559,18 +559,35 @@ def test_dilaton_relation_catches_one_wrong_bracket(demand23) -> None:
     assert _failures(_dilaton_holds, q, 23) == (124, [(5, 8)])
 
 
-def test_string_and_dilaton_relations_at_dimension_30() -> None:
-    # both relations on (10, 2) read (10, 3), of top dimension 30; by
-    # demand from an empty table, slots widen to 312 bits
+def _check_relations_by_demand(g: int, n: int, slot: int, entries: int) -> None:
+    """
+    Both relations on (g, n), by demand from an empty table that ends at
+    `slot`-bit slots and `entries` entries; a copy with one wrong
+    q(g, n+1, (5,)) must fail both.
+    """
     cache = BracketCache()
 
     def q(g, n, dnz):
         return brackets._cached_q(g, n, dnz, cache)
 
-    assert _string_holds(q, 10, 2) and _dilaton_holds(q, 10, 2)
-    assert (cache.slot, len(cache)) == (312, 26546)
+    assert _string_holds(q, g, n) and _dilaton_holds(q, g, n)
+    assert (cache.slot, len(cache)) == (slot, entries)
+    wrong_key = (g, n + 1, (5,))
 
     def wrong(g, n, dnz):
-        return q(g, n, dnz) * rat(3, 2) if (g, n, dnz) == (10, 3, (5,)) else q(g, n, dnz)
+        return q(g, n, dnz) * rat(3, 2) if (g, n, dnz) == wrong_key else q(g, n, dnz)
 
-    assert not _string_holds(wrong, 10, 2) and not _dilaton_holds(wrong, 10, 2)
+    assert not _string_holds(wrong, g, n) and not _dilaton_holds(wrong, g, n)
+
+
+def test_string_and_dilaton_relations_at_dimension_30() -> None:
+    # both relations on (10, 2) read (10, 3), of top dimension 30; by
+    # demand from an empty table, slots widen to 312 bits
+    _check_relations_by_demand(10, 2, 312, 26546)
+
+
+@pytest.mark.parametrize(("g", "n", "slot", "entries"), [(0, 38, 384, 703), (1, 35, 360, 4749), (2, 32, 368, 16331)])
+def test_string_and_dilaton_relations_at_dimension_36(g, n, slot, entries) -> None:
+    # each (g, n) reads (g, n+1), of top dimension 36; slots widen to
+    # 360-384 bits
+    _check_relations_by_demand(g, n, slot, entries)

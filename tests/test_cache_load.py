@@ -114,6 +114,15 @@ CASES = {
     "long-number": lambda t: HEADER + "0|0:3|" + "1" * 5000 + "/1*pi^0\n",
     "pieces-and-long-number": lambda t: HEADER + "0|0:0|" + "1" * 5000 + "/1*pi^0\n",
     "not-utf8": lambda t: (HEADER + "0|0:3|1/1*pi^0\n").encode() + b"0|0:4|\xff\n",
+    "not-utf8-value": lambda t: (HEADER + "0|0:3|1/1*pi^0\n").encode() + b"0|0:4|\xff/1*pi^2\n",
+    "not-utf8-header": lambda t: b"wpbracket v1\xff\n0|0:3|1/1*pi^0\n",
+    # a sequence cut short by the line break, and one past the first block
+    "not-utf8-truncated": lambda t: (HEADER + "0|0:3|1/1*pi^0\n").encode() + b"0|0:4|2/1*pi^2\xe2\x82\r\n",
+    "later-block-not-utf8": lambda t: _replace_line(t, 3000, "3|4:1,2:1,0:4|\udcff").encode("utf-8", "surrogateescape"),
+    # the first fault in file order is named, a bad byte or not
+    "fault-then-not-utf8": lambda t: (HEADER + "0|0:3|1/x*pi^0\n").encode() + b"0|0:4|\xff\n",
+    "not-utf8-then-fault": lambda t: (HEADER + "0|0:3|1/1*pi^0\n").encode() + b"0|0:4|\xff\n0|0:5|x\n",
+    "version-then-not-utf8": lambda t: b"wpbracket v9\n0|0:4|\xff\n",
     # a value in another form than `cache_save` writes
     "not-lowest-terms": lambda t: HEADER + "0|0:3|2/2*pi^0\n",
     "zero-over-seven": lambda t: HEADER + "0|0:3|1/1*pi^0\n0|0:4|0/7*pi^2\n",
@@ -202,10 +211,19 @@ def test_edge_file_messages(table_text, tmp_path) -> None:
         "piece-count-leading-zero": "line 4: bad multiset pair '0:03'",
         "piece-plus-sign": "line 2: bad multiset pair '+1:1'",
         "leading-zero": "line 3: malformed PiScalar '02/1*pi^2'",
+        # an undecodable byte is named by its line, at its place in the line
+        "not-utf8": "line 3: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte",
+        "not-utf8-value": "line 3: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte",
+        "not-utf8-header": "line 1: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+        "not-utf8-truncated": "line 3: 'utf-8' codec can't decode bytes in position 14-15: unexpected end of data",
+        "later-block-not-utf8": "line 3000: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte",
+        "fault-then-not-utf8": "line 2: malformed PiScalar '1/x*pi^0'",
+        "not-utf8-then-fault": "line 3: 'utf-8' codec can't decode byte 0xff",
     }
     for name, message in expected.items():
         path = tmp_path / "case.txt"
-        path.write_text(CASES[name](table_text), encoding="utf-8", newline="")
+        data = CASES[name](table_text)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         with pytest.raises(ValueError) as info:
             cache_load(path, BracketCache())
         assert f"{path}: {message}" in str(info.value), name
@@ -342,7 +360,7 @@ def test_loaded_values_are_canonical_fractions(budget, table_text, table_14_text
     cache = BracketCache()
     assert cache_load(path, cache) == len(expected)
     # block path, and the line-by-line fallback called on a good file
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         by_line = brackets._load_lines(path, fh, {})
     for values in (list(cache.entries.values()), list(by_line.values())):
         assert len(values) == len(expected)

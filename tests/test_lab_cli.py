@@ -10,9 +10,7 @@ import pytest
 from wplab import brackets, cli, lab, random_model
 from wplab.brackets import BracketCache, cache_load
 from wplab.lab import (
-    EXPERIMENT_RANKS,
     EXPERIMENTS,
-    TABLE_FREE_EXPERIMENTS,
     LabConfig,
     cache_warm,
     load_config_file,
@@ -352,6 +350,12 @@ def test_experiment_registry_complete() -> None:
     }
 
 
+def test_help_lists_every_experiment_in_table_order() -> None:
+    help_text = cli.build_parser().format_help()
+    lines = [f"  {name:<20} {exp.doc}" for name, exp in EXPERIMENTS.items()]
+    assert help_text.endswith("\n".join(lines) + "\n")
+
+
 def test_rows_render_and_sorting() -> None:
     rows = run_experiment("geometry-constants", LabConfig(budget=2))
     assert rows == sorted(rows, key=lambda r: r.input)
@@ -432,10 +436,13 @@ def test_second_cache_warm_process_leaves_the_file_alone(tmp_path) -> None:
 
 
 def test_every_experiment_has_a_rank_reads_no_table_or_loads_in_full() -> None:
-    ranked, free = set(EXPERIMENT_RANKS), set(TABLE_FREE_EXPERIMENTS)
-    assert ranked | free | {"cache-warm"} == set(EXPERIMENTS)
-    assert not ranked & free and "cache-warm" not in ranked | free
-    assert set(EXPERIMENT_RANKS.values()) <= {0, 1, 2, 3}
+    ranks = {name: exp.rank for name, exp in EXPERIMENTS.items()}
+    # only cache-warm loads the whole table, and only geometry-constants none
+    assert [name for name, rank in ranks.items() if rank is None] == ["cache-warm"]
+    assert [name for name, rank in ranks.items() if rank == -1] == ["geometry-constants"]
+    assert set(ranks.values()) - {None, -1} <= {0, 1, 2, 3}
+    # and only the identity exits 3 on a FAIL row
+    assert [name for name, exp in EXPERIMENTS.items() if exp.hard_check] == ["identity"]
 
 
 @pytest.fixture(scope="module", params=[12, 16])
@@ -449,11 +456,14 @@ def persisted(request, tmp_path_factory):
 def test_rank_limited_load_builds_no_slice_and_keeps_the_csv(persisted, monkeypatch) -> None:
     budget, cache_dir = persisted
     cfg = LabConfig(budget=budget, cache_dir=str(cache_dir))
-    for name, rank in EXPERIMENT_RANKS.items():
+    # every experiment but cache-warm, which loads the whole table; rank -1
+    # loads nothing
+    ranks = {name: exp.rank for name, exp in EXPERIMENTS.items() if exp.rank is not None}
+    for name, rank in ranks.items():
         monkeypatch.setattr(brackets, "_default_cache", BracketCache())
         partial = rows_to_csv(run_experiment(name, cfg))
         table = brackets.default_cache()
-        assert max(len(key[2]) for key in table.entries) == rank, name
+        assert max((len(key[2]) for key in table.entries), default=-1) == rank, name
         assert not table.slices, f"{name} built {len(table.slices)} slices"
         # the same bytes from the whole table
         monkeypatch.setattr(brackets, "_default_cache", BracketCache())
